@@ -82,6 +82,25 @@ def _depth_result_dict(result) -> dict:
     }
 
 
+def _intersection_bound(data, cut: Cut) -> tuple[float | None, str]:
+    """The intersection-cut bound of a cut over a corner, or None and the
+    reason the cut is not eligible."""
+    m = data.num_basic
+    coeffs = cut.coeffs
+    if coeffs.shape[0] == m + data.num_nonbasic:
+        if np.abs(coeffs[:m]).max(initial=0.0) > 0:
+            return None, "cut has coefficients on the basic variables"
+        coeffs = coeffs[m:]
+    if cut.rhs <= 0:
+        return None, "cut right-hand side is not positive"
+    if coeffs.min() < 0:
+        return None, "cut has negative coefficients"
+    try:
+        return intersection_cut_bound(data.tableau, coeffs / cut.rhs), ""
+    except CutDepthError as exc:
+        return None, str(exc)
+
+
 def _cut_bounds(inst: Instance, cut: Cut) -> dict:
     out = {}
     if inst.kind in (INEQUALITY, STANDARD):
@@ -90,15 +109,9 @@ def _cut_bounds(inst: Instance, cut: Cut) -> dict:
         if space.num_equalities == 0 and n >= 2:
             out["integer-hull"] = integer_hull_depth_bound(n)
     else:
-        data = inst.polyhedron
-        m, ns = data.num_basic, data.num_nonbasic
-        coeffs = cut.coeffs
-        if coeffs.shape[0] == m + ns:
-            if np.abs(coeffs[:m]).max(initial=0.0) > 0:
-                return out
-            coeffs = coeffs[m:]
-        if cut.rhs > 0 and coeffs.min() >= 0.0 and coeffs.max() > 1e-12:
-            out["intersection"] = intersection_cut_bound(data.tableau, coeffs / cut.rhs)
+        value, _ = _intersection_bound(inst.polyhedron, cut)
+        if value is not None:
+            out["intersection"] = value
     return out
 
 
@@ -279,28 +292,10 @@ def cmd_bound_intersection(args) -> int:
     if inst.kind != CORNER:
         raise InstanceError("bound intersection requires a corner instance")
     data = inst.polyhedron
-    m, ns = data.num_basic, data.num_nonbasic
     records = []
     for index, cut in enumerate(inst.cuts):
-        coeffs = cut.coeffs
-        skip = None
-        if coeffs.shape[0] == m + ns:
-            if np.abs(coeffs[:m]).max(initial=0.0) > 0:
-                skip = "cut has coefficients on the basic variables"
-            coeffs = coeffs[m:]
-        if skip is None and cut.rhs <= 0:
-            skip = "cut right-hand side is not positive"
-        if skip is None and coeffs.min() < 0:
-            skip = "cut has negative coefficients"
-        if skip is None:
-            try:
-                value = intersection_cut_bound(data.tableau, coeffs / cut.rhs)
-            except CutDepthError as exc:
-                skip = str(exc)
-        if skip is None:
-            records.append({"index": index, "value": value, "note": ""})
-        else:
-            records.append({"index": index, "value": None, "note": skip})
+        value, note = _intersection_bound(data, cut)
+        records.append({"index": index, "value": value, "note": note})
     payload = {
         "command": "bound intersection",
         "edge_lengths": list(steepest_edge_lengths(data.tableau)),

@@ -112,10 +112,11 @@ def build_corner(data: CornerData) -> CornerCone:
             f"expected {n} inequality rows for a simple cone, got {body.num_rows}"
         )
     stacked = np.vstack([body.normals, model.space.A])
-    vertex = solve_square(stacked, np.concatenate([body.offsets, model.space.b]))
-    depth_direction = -solve_square(
-        stacked, np.concatenate([np.ones(n), np.zeros(m)])
-    )
+    # column 0 gives the vertex, column 1 the depth direction (normals @ q = -1)
+    rhs = np.zeros((n + m, 2))
+    rhs[:, 0] = np.concatenate([body.offsets, model.space.b])
+    rhs[:n, 1] = -1.0
+    vertex, depth_direction = solve_square(stacked, rhs).T
     rays = np.vstack([data.tableau, np.eye(n)])
     return CornerCone(body, vertex, depth_direction, rays)
 

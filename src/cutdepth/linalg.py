@@ -1,26 +1,23 @@
-"""Dense linear-algebra kernels: SPD solves, square solves, largest eigenvalue.
+"""Dense linear-algebra kernels on top of numpy.linalg: SPD solves, square
+solves, largest eigenvalue.
 
 All routines work on plain float64 numpy arrays and are pure functions of
-their inputs. Pivot thresholds are fixed so that error behavior is
-reproducible across runs.
+their inputs. LAPACK does the factorizations; fixed relative thresholds on
+the factors' diagonals decide rank deficiency, so error behavior is
+reproducible across runs and does not depend on how close to breakdown
+LAPACK itself gets.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import NotPositiveDefinite, Singular
 
-# Relative pivot threshold for Cholesky and LU factorizations.
+# Relative threshold on the diagonals of the Cholesky and QR factors.
 PIVOT_RTOL = 1e-12
 # Relative symmetry tolerance on inputs declared symmetric.
 SYMMETRY_RTOL = 1e-12
-# Convergence threshold on successive Rayleigh quotients.
-RAYLEIGH_TOL = 1e-10
-
-_MAX_POWER_ITERATIONS = 20_000
 
 
 def as_vector(v, name: str = "vector", allow_infinite: bool = False) -> np.ndarray:
@@ -49,6 +46,17 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _as_rhs(rhs, n: int) -> np.ndarray:
+    """A finite right-hand side of n rows: a vector, or a matrix with one
+    column per system."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(f"rhs has shape {rhs.shape}, expected {n} rows")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs contains non-finite entries")
+    return rhs
+
+
 def _require_symmetric(S: np.ndarray, name: str) -> None:
     if S.shape[0] != S.shape[1]:
         raise ValueError(f"{name} must be square, got shape {S.shape}")
@@ -62,39 +70,34 @@ def _require_symmetric(S: np.ndarray, name: str) -> None:
 def cholesky_factor(S) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
-    Raises NotPositiveDefinite when a pivot drops to PIVOT_RTOL times the
-    largest diagonal entry of the input, which signals rank deficiency.
+    Raises NotPositiveDefinite when LAPACK fails, or when a pivot (a squared
+    diagonal entry of the factor) is at or below PIVOT_RTOL times the largest
+    diagonal entry of the input, which signals rank deficiency.
     """
     S = as_matrix(S, "S")
     _require_symmetric(S, "S")
-    n = S.shape[0]
-    factor = np.zeros((n, n))
-    limit = PIVOT_RTOL * (float(np.diag(S).max()) if n else 0.0)
-    for j in range(n):
-        pivot = S[j, j] - factor[j, :j] @ factor[j, :j]
-        if pivot <= limit:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} at index {j} is at or below threshold {limit:.3e}"
-            )
-        factor[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            factor[j + 1 :, j] = (S[j + 1 :, j] - factor[j + 1 :, :j] @ factor[j, :j]) / factor[j, j]
+    try:
+        factor = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
+    pivots = np.diag(factor) ** 2
+    limit = PIVOT_RTOL * float(np.diag(S).max(initial=0.0))
+    low = np.flatnonzero(pivots <= limit)
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefinite(
+            f"pivot {pivots[j]:.3e} at index {j} is at or below threshold {limit:.3e}"
+        )
     return factor
 
 
 def cholesky_solve_factored(factor: np.ndarray, rhs) -> np.ndarray:
-    """Solve S w = rhs given the lower-triangular factor of S."""
-    rhs = as_vector(rhs, "rhs")
-    n = factor.shape[0]
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has length {rhs.shape[0]}, expected {n}")
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (rhs[i] - factor[i, :i] @ y[:i]) / factor[i, i]
-    w = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        w[i] = (y[i] - factor[i + 1 :, i] @ w[i + 1 :]) / factor[i, i]
-    return w
+    """Solve S w = rhs given the lower-triangular factor of S.
+
+    rhs is a vector or a matrix with one column per system.
+    """
+    rhs = _as_rhs(rhs, factor.shape[0])
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
 def cholesky_solve(S, rhs) -> np.ndarray:
@@ -103,82 +106,32 @@ def cholesky_solve(S, rhs) -> np.ndarray:
 
 
 def solve_square(M, rhs) -> np.ndarray:
-    """Solve M w = rhs by LU factorization with partial pivoting.
+    """Solve M w = rhs by QR factorization; rhs is a vector or a matrix with
+    one column per system.
 
-    Raises Singular when the best available pivot is below PIVOT_RTOL times
-    the largest absolute entry of M.
+    Raises Singular when the smallest absolute diagonal entry of R is zero
+    or below PIVOT_RTOL times the largest absolute entry of M.
     """
     M = as_matrix(M, "M")
-    rhs = as_vector(rhs, "rhs")
     n = M.shape[0]
     if M.shape[1] != n:
         raise ValueError(f"M must be square, got shape {M.shape}")
-    if rhs.shape[0] != n:
-        raise ValueError(f"rhs has length {rhs.shape[0]}, expected {n}")
+    rhs = _as_rhs(rhs, n)
     if n == 0:
-        return np.zeros(0)
-    lu = M.copy()
-    b = rhs.copy()
+        return np.zeros(rhs.shape)
+    q, r = np.linalg.qr(M)
+    diag = np.abs(np.diag(r))
+    k = int(np.argmin(diag))
     limit = PIVOT_RTOL * float(np.abs(M).max())
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < limit or lu[p, k] == 0.0:
-            raise Singular(f"pivot {lu[p, k]:.3e} in column {k} below threshold {limit:.3e}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        lu[k + 1 :, k] /= lu[k, k]
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    # forward substitution on the unit-lower factor, then back substitution
-    for i in range(n):
-        b[i] -= lu[i, :i] @ b[:i]
-    w = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        w[i] = (b[i] - lu[i, i + 1 :] @ w[i + 1 :]) / lu[i, i]
-    return w
-
-
-def _power_run(S: np.ndarray, start: np.ndarray) -> tuple[float, int]:
-    """One power-iteration run; returns (Rayleigh quotient, iterations used)."""
-    norm = float(np.linalg.norm(start))
-    if norm == 0.0:
-        return 0.0, 0
-    v = start / norm
-    rq_prev = float(v @ S @ v)
-    streak = 0
-    for k in range(1, _MAX_POWER_ITERATIONS + 1):
-        w = S @ v
-        nw = float(np.linalg.norm(w))
-        if nw <= 1e-300:
-            # start vector lies in the kernel
-            return 0.0, k
-        v = w / nw
-        rq = float(v @ S @ v)
-        if abs(rq - rq_prev) < RAYLEIGH_TOL:
-            streak += 1
-            if streak >= 2:
-                return rq, k
-        else:
-            streak = 0
-        rq_prev = rq
-    return rq_prev, _MAX_POWER_ITERATIONS
+    if diag[k] < limit or diag[k] == 0.0:
+        raise Singular(f"R[{k},{k}] = {diag[k]:.3e} below threshold {limit:.3e}")
+    return np.linalg.solve(r, q.T @ rhs)
 
 
 def largest_eigenvalue(S) -> float:
-    """Largest eigenvalue of a symmetric positive-semidefinite matrix.
-
-    Power iteration from the all-ones vector. If the run locks in
-    immediately (the start is already an eigenvector, possibly of a
-    non-dominant eigenvalue), a second run from the index-weighted vector
-    (1, 2, ..., n) breaks the tie and the larger result is returned.
-    """
+    """Largest eigenvalue of a symmetric positive-semidefinite matrix."""
     S = as_matrix(S, "S")
     _require_symmetric(S, "S")
-    n = S.shape[0]
-    if n == 0:
+    if S.shape[0] == 0:
         raise ValueError("S must be non-empty")
-    lam, iters = _power_run(S, np.ones(n))
-    if iters <= 3:
-        lam_alt, _ = _power_run(S, 1.0 + np.arange(n, dtype=float))
-        lam = max(lam, lam_alt)
-    return lam
+    return float(np.linalg.eigvalsh(S)[-1])

@@ -67,17 +67,18 @@ class AffineSpace:
         return float(np.abs(self.A @ x - self.b).max()) <= tol
 
 
-def _project_with_multipliers(space: AffineSpace, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project a onto the direction space { d : A d = 0 }.
+def _project_rows(space: AffineSpace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project every row a_i of rows onto the direction space { d : A d = 0 }.
 
-    Returns (gamma, mu) with gamma = a + A^T mu and A gamma = 0. On the
-    hull, gamma @ x = a @ x + mu @ b, which is what turns right-hand sides
-    into hull-relative offsets.
+    Returns (gammas, mus) with gamma_i = a_i + A^T mu_i and A gamma_i = 0,
+    from one multi-right-hand-side solve. On the hull, gamma_i @ x =
+    a_i @ x + mu_i @ b, which is what turns right-hand sides into
+    hull-relative offsets.
     """
     if space.num_equalities == 0:
-        return a.copy(), np.zeros(0)
-    mu = cholesky_solve_factored(space.gram_factor, -(space.A @ a))
-    return a + space.A.T @ mu, mu
+        return rows.copy(), np.zeros((rows.shape[0], 0))
+    mus = cholesky_solve_factored(space.gram_factor, -(space.A @ rows.T)).T
+    return rows + mus @ space.A, mus
 
 
 def project_onto_direction_space(space: AffineSpace, a) -> np.ndarray:
@@ -85,8 +86,8 @@ def project_onto_direction_space(space: AffineSpace, a) -> np.ndarray:
     a = as_vector(a, "a")
     if a.shape[0] != space.dim:
         raise ValueError(f"a has length {a.shape[0]}, expected {space.dim}")
-    gamma, _ = _project_with_multipliers(space, a)
-    return gamma
+    gammas, _ = _project_rows(space, a[None, :])
+    return gammas[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,19 +164,15 @@ def normalize(poly: HPolyhedron) -> NormalizedPolyhedron:
     space. Raises DegenerateConstraint for rows orthogonal to the hull.
     """
     space = poly.space
-    m = poly.num_rows
-    normals = np.zeros((m, space.dim))
-    offsets = np.zeros(m)
-    for i in range(m):
-        gamma, mu = _project_with_multipliers(space, poly.A[i])
-        nrm = float(np.linalg.norm(gamma))
-        if nrm < DEGENERATE_NORM_TOL:
-            raise DegenerateConstraint(
-                f"row {i}: normal is orthogonal to the affine hull"
-            )
-        normals[i] = gamma / nrm
-        offsets[i] = (poly.b[i] + float(mu @ space.b)) / nrm
-    return NormalizedPolyhedron(normals, offsets, space)
+    gammas, mus = _project_rows(space, poly.A)
+    norms = np.linalg.norm(gammas, axis=1)
+    degenerate = np.flatnonzero(norms < DEGENERATE_NORM_TOL)
+    if degenerate.size:
+        raise DegenerateConstraint(
+            f"row {degenerate[0]}: normal is orthogonal to the affine hull"
+        )
+    offsets = (poly.b + mus @ space.b) / norms
+    return NormalizedPolyhedron(gammas / norms[:, None], offsets, space)
 
 
 def shrink(poly: NormalizedPolyhedron, lam: float) -> NormalizedPolyhedron:
@@ -244,15 +241,13 @@ def bound_rows(model: StandardFormModel) -> tuple[list[BoundRow], int]:
     space = model.space
     rows: list[BoundRow] = []
     dropped = 0
-    basis = np.eye(space.dim)
-    for j in range(space.dim):
+    bounded = np.flatnonzero((model.lower > -math.inf) | (model.upper < math.inf))
+    gammas, mus = _project_rows(space, np.eye(space.dim)[bounded])
+    norms = np.linalg.norm(gammas, axis=1)
+    shifts = mus @ space.b
+    for j, gamma, nrm, shift in zip(bounded.tolist(), gammas, norms.tolist(), shifts.tolist()):
         lo = float(model.lower[j])
         up = float(model.upper[j])
-        if lo == -math.inf and up == math.inf:
-            continue
-        gamma, mu = _project_with_multipliers(space, basis[j])
-        nrm = float(np.linalg.norm(gamma))
-        shift = float(mu @ space.b)
         if nrm < DEGENERATE_NORM_TOL:
             implied = -shift  # e_j = -A^T mu, so x_j = -mu @ b on the hull
             if lo != -math.inf:

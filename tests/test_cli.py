@@ -152,6 +152,36 @@ class TestDepthCommand:
         path.write_text("{not json")
         assert main(["depth", "--in", str(path)]) == 2
 
+    def test_ineligible_cut_does_not_abort_depth(self, tmp_path):
+        # coeffs / rhs falls below the intersection bound's coefficient
+        # tolerance on the second cut, so only the first gets that bound
+        path = tmp_path / "corner.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "polyhedron": {"f": [0.5], "R": [[1.0, -1.0]]},
+                    "cuts": [
+                        {"alpha": [2.0, 2.0], "beta": 1.0},
+                        {"alpha": [1e-6, 1e-6], "beta": 1e7},
+                    ],
+                }
+            )
+        )
+        out = tmp_path / "report.json"
+        assert main(["depth", "--in", str(path), "--out", str(out)]) == 0
+        eligible, ineligible = json.loads(out.read_text())["cut_records"]
+        assert eligible["bounds"]["intersection"] == pytest.approx(
+            math.sqrt(2.0) / 2.0, abs=1e-9
+        )
+        assert eligible["bound_respected"] is True
+        assert "intersection" not in ineligible["bounds"]
+        assert ineligible["bound_respected"] is None
+        bound_out = tmp_path / "bounds.json"
+        assert main(["bound", "intersection", "--in", str(path), "--out", str(bound_out)]) == 0
+        records = json.loads(bound_out.read_text())["bound_records"]
+        assert records[0]["value"] == eligible["bounds"]["intersection"]
+        assert records[1]["value"] is None and records[1]["note"]
+
 
 class TestPointDepthCommand:
     def test_values(self, square_file, tmp_path):

@@ -5,10 +5,15 @@ from hypothesis import strategies as st
 
 from cutdepth.errors import NotPositiveDefinite, Singular
 from cutdepth.linalg import (
+    cholesky_factor,
     cholesky_solve,
+    cholesky_solve_factored,
     largest_eigenvalue,
     solve_square,
 )
+
+# LAPACK factorizes this matrix; only the relative pivot threshold rejects it
+NEARLY_SINGULAR = [[1.0, 1.0], [1.0, 1.0 + 1e-14]]
 
 
 class TestCholeskySolve:
@@ -35,6 +40,22 @@ class TestCholeskySolve:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             cholesky_solve([[1.0, 0.5], [0.0, 1.0]], [1.0, 1.0])
+
+    def test_threshold_rejects_nearly_singular(self):
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_solve(NEARLY_SINGULAR, [1.0, 1.0])
+
+    def test_matrix_rhs_matches_column_solves(self):
+        rng = np.random.default_rng(19)
+        M = rng.uniform(-1.0, 1.0, (4, 4))
+        factor = cholesky_factor(M.T @ M + np.eye(4))
+        rhs = rng.uniform(-3.0, 3.0, (4, 3))
+        w = cholesky_solve_factored(factor, rhs)
+        assert w.shape == (4, 3)
+        for k in range(3):
+            np.testing.assert_allclose(
+                w[:, k], cholesky_solve_factored(factor, rhs[:, k]), rtol=1e-12, atol=1e-12
+            )
 
     def test_residual_on_random_spd(self):
         rng = np.random.default_rng(7)
@@ -86,6 +107,21 @@ class TestSolveSquare:
     def test_singular_raises(self):
         with pytest.raises(Singular):
             solve_square([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
+
+    def test_threshold_rejects_nearly_singular(self):
+        with pytest.raises(Singular):
+            solve_square(NEARLY_SINGULAR, [1.0, 1.0])
+
+    def test_matrix_rhs_matches_column_solves(self):
+        rng = np.random.default_rng(23)
+        M = rng.uniform(-2.0, 2.0, (5, 5)) + 4.0 * np.eye(5)
+        rhs = rng.uniform(-4.0, 4.0, (5, 2))
+        w = solve_square(M, rhs)
+        assert w.shape == (5, 2)
+        for k in range(2):
+            np.testing.assert_allclose(
+                w[:, k], solve_square(M, rhs[:, k]), rtol=1e-12, atol=1e-12
+            )
 
     def test_round_trip_on_well_conditioned(self):
         rng = np.random.default_rng(11)

@@ -81,6 +81,10 @@ class TestNormalize:
         P = HPolyhedron([[1.0, 1.0]], [5.0], space)
         with pytest.raises(DegenerateConstraint):
             normalize(P)
+        # the message names the first degenerate row, wherever it sits
+        P = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 1.0]], [1.0] * 4, space)
+        with pytest.raises(DegenerateConstraint, match=r"^row 2:"):
+            normalize(P)
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
