@@ -60,7 +60,7 @@ from .errors import (
     Singular,
 )
 from .linalg import cholesky_solve, largest_eigenvalue, solve_square
-from .lp import LinearProgram, LpOutcome, LpStatus, solve
+from .lp import LinearProgram, LpOutcome, LpStatus, SolveStats, solve
 from .polyhedron import (
     AffineSpace,
     Cut,
@@ -105,6 +105,7 @@ __all__ = [
     "PointOutsidePolyhedron",
     "RankDeficientBasis",
     "Singular",
+    "SolveStats",
     "SplitBound",
     "StandardFormModel",
     "build_corner",

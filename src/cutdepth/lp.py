@@ -1,16 +1,20 @@
 """Self-contained dense two-phase simplex solver.
 
 Maximizes a linear objective subject to <=, =, >= rows over free or
-nonnegative variables. Deterministic: Dantzig pricing with ties broken by
-lowest index, switching to Bland's rule after a fixed number of degenerate
-pivots. Free variables are split into positive and negative parts, which
-keeps the tableau classic at desk scale.
+nonnegative variables; free variables are split into positive and negative
+parts. The tableau is condensed (Tucker form): it stores only the nonbasic
+columns and the rhs, one row per basic variable plus a reduced-cost row, so
+a pivot touches m x (nonbasic + 1) entries and never the identity of the
+basic columns. Deterministic: Dantzig pricing, leaving-row ties broken by
+lowest basis id, switching to Bland's rule (by original column id) after a
+fixed number of degenerate pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +27,9 @@ GREATER_EQUAL = ">="
 FREE = "free"
 NONNEGATIVE = "nonneg"
 
+# phase 1 reports infeasible when some row's artificial exceeds this times
+# the larger of the row's |rhs| and the sum of its |terms|, so the verdict
+# depends neither on the data's scale nor on the other rows'
 FEASIBILITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
 MAX_PIVOTS = 100_000
@@ -30,6 +37,8 @@ MAX_PIVOTS = 100_000
 _DEGENERATE_RATIO = 1e-12
 
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+# +1 for <=, -1 for >=, 0 for =; a row negated to make its rhs >= 0 flips it
+_SENSE = {LESS_EQUAL: 1.0, EQUAL: 0.0, GREATER_EQUAL: -1.0}
 _DOMAINS = (FREE, NONNEGATIVE)
 
 
@@ -80,73 +89,108 @@ class LinearProgram:
         return self.A.shape[1]
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """What the simplex did: pivots per phase, degenerate pivots over both
+    phases, whether Bland's rule took over, and redundant rows dropped after
+    phase 1."""
+
+    phase1_pivots: int = 0
+    phase2_pivots: int = 0
+    degenerate_pivots: int = 0
+    bland: bool = False
+    dropped_rows: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class LpOutcome:
     """Solve result. Optimal carries x and the objective value; Unbounded
-    carries a feasible point and an improving ray."""
+    carries a feasible point and an improving ray; Infeasible carries
+    neither. Every outcome from solve carries its SolveStats."""
 
     status: LpStatus
     x: np.ndarray | None = None
     objective: float | None = None
     ray: np.ndarray | None = None
+    stats: SolveStats = SolveStats()
 
 
-class _Unbounded(Exception):
-    def __init__(self, entering: int):
-        self.entering = entering
-
-
-def _pivot(M: np.ndarray, row: int, col: int) -> None:
-    M[row] /= M[row, col]
-    factors = M[:, col].copy()
+def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col: int) -> None:
+    """Tucker pivot: exchange the basic variable of row with the nonbasic
+    variable of col. Every row, the reduced-cost row included, is updated."""
+    inverse = 1.0 / T[row, col]
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
     factors[row] = 0.0
-    M -= np.outer(factors, M[row])
-    M[:, col] = 0.0
-    M[row, col] = 1.0
+    T -= np.multiply.outer(factors, T[row])
+    factors *= -inverse
+    T[:, col] = factors
+    T[row, col] = inverse
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
+
+
+class _Phase(NamedTuple):
+    pivots: int
+    degenerate: int
+    bland: bool
+    # position of the entering column that proved unboundedness, if any
+    unbounded: int | None
+
+
+_SKIPPED = _Phase(0, 0, False, None)
 
 
 def _run_simplex(
-    M: np.ndarray,
-    basis: np.ndarray,
-    cost: np.ndarray,
-    bland_threshold: int,
-    pivots_used: int,
-) -> tuple[int, bool]:
-    """Pivot until optimal (returns pivots used) or raise _Unbounded.
+    T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, bland_threshold: int, budget: int
+) -> _Phase:
+    """Pivot until optimal or unbounded, at most budget times.
 
-    M is the tableau [columns | rhs] with an identity embedded at the basis
-    columns; cost is the standard-form objective (maximized).
+    T is the condensed tableau: row i < m belongs to the basic variable
+    basis[i], column j to the nonbasic variable nonbasic[j] (original column
+    ids), row m holds the reduced costs and the last column the rhs.
     """
-    degenerate = 0
+    m = basis.shape[0]
+    reduced = T[m, :-1]
+    rhs = T[:m, -1]
+    pivots = degenerate = 0
     bland = False
-    while True:
-        reduced = cost[basis] @ M[:, :-1] - cost
+    while reduced.size:
         if bland:
-            candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
+            candidates = (reduced < -PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
-                return pivots_used, bland
-            enter = int(candidates[0])
+                break
+            enter = int(candidates[nonbasic[candidates].argmin()])
         else:
-            enter = int(np.argmin(reduced))
+            enter = int(reduced.argmin())
             if reduced[enter] >= -PIVOT_TOL:
-                return pivots_used, bland
-        col = M[:, enter]
-        eligible = np.nonzero(col > PIVOT_TOL)[0]
+                break
+        col = T[:m, enter]
+        eligible = (col > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
-            raise _Unbounded(enter)
-        ratios = M[eligible, -1] / col[eligible]
+            return _Phase(pivots, degenerate, bland, enter)
+        ratios = rhs[eligible] / col[eligible]
         best = ratios.min()
         tied = eligible[ratios <= best + _DEGENERATE_RATIO * (1.0 + abs(best))]
-        leave = int(tied[np.argmin(basis[tied])])
-        if M[leave, -1] / col[leave] < _DEGENERATE_RATIO:
+        leave = int(tied[basis[tied].argmin()])
+        if rhs[leave] / col[leave] < _DEGENERATE_RATIO:
             degenerate += 1
             if degenerate > bland_threshold:
                 bland = True
-        _pivot(M, leave, enter)
-        basis[leave] = enter
-        pivots_used += 1
-        if pivots_used > MAX_PIVOTS:
+        _pivot(T, basis, nonbasic, leave, enter)
+        pivots += 1
+        if pivots > budget:
             raise IterationLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+    return _Phase(pivots, degenerate, bland, None)
+
+
+def _stats(phase1: _Phase, phase2: _Phase, dropped_rows: int) -> SolveStats:
+    return SolveStats(
+        phase1.pivots,
+        phase2.pivots,
+        phase1.degenerate + phase2.degenerate,
+        phase1.bland or phase2.bland,
+        dropped_rows,
+    )
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -154,100 +198,81 @@ def solve(lp: LinearProgram) -> LpOutcome:
     m, n = lp.num_rows, lp.num_cols
 
     # structural columns: one per nonnegative variable, a +/- pair per free one
-    col_var: list[tuple[int, float]] = []
-    for j, dom in enumerate(lp.domains):
-        col_var.append((j, 1.0))
-        if dom == FREE:
-            col_var.append((j, -1.0))
-    ns = len(col_var)
+    free = np.array([dom == FREE for dom in lp.domains], dtype=bool)
+    width = np.where(free, 2, 1)
+    var = np.repeat(np.arange(n), width)
+    sign = np.ones(var.shape[0])
+    sign[np.cumsum(width)[free] - 1] = -1.0
+    ns = var.shape[0]
 
-    A_std = np.zeros((m, ns))
-    for k, (j, sign) in enumerate(col_var):
-        A_std[:, k] = sign * lp.A[:, j]
-    b = lp.rhs.copy()
-    rels = list(lp.relations)
-    for i in range(m):
-        if b[i] < 0.0:
-            A_std[i] *= -1.0
-            b[i] = -b[i]
-            if rels[i] == LESS_EQUAL:
-                rels[i] = GREATER_EQUAL
-            elif rels[i] == GREATER_EQUAL:
-                rels[i] = LESS_EQUAL
+    # rows with a negative rhs are negated, which swaps <= and >=
+    row_sign = np.where(lp.rhs < 0.0, -1.0, 1.0)
+    sense = np.array([_SENSE[rel] for rel in lp.relations]) * row_sign
+    le = sense > 0.0
+    ge = sense < 0.0
+    ineq = le | ge
+    art = ~le
+    b = lp.rhs * row_sign
 
-    ineq_rows = [i for i in range(m) if rels[i] != EQUAL]
-    slack_col = {}
-    slack_block = np.zeros((m, len(ineq_rows)))
-    for k, i in enumerate(ineq_rows):
-        slack_block[i, k] = 1.0 if rels[i] == LESS_EQUAL else -1.0
-        slack_col[i] = ns + k
-    art_rows = [i for i in range(m) if rels[i] != LESS_EQUAL]
-    art_start = ns + len(ineq_rows)
-    art_block = np.zeros((m, len(art_rows)))
-    art_col = {}
-    for k, i in enumerate(art_rows):
-        art_block[i, k] = 1.0
-        art_col[i] = art_start + k
-
-    M = np.column_stack([A_std, slack_block, art_block, b])
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = art_col[i] if i in art_col else slack_col[i]
+    # column ids: structural, then one slack per inequality row in row order
+    # (+1 on <=, -1 on >=), then one artificial per >= or = row; the slacks
+    # of <= rows and the artificials start basic, the rest nonbasic
+    slack_id = ns + np.cumsum(ineq) - 1
+    art_start = ns + int(ineq.sum())
+    basis = np.where(art, art_start + np.cumsum(art) - 1, slack_id)
+    nonbasic = np.concatenate([np.arange(ns), slack_id[ge]])
+    T = np.zeros((m + 1, nonbasic.shape[0] + 1))
+    T[:m, :ns] = lp.A[:, var] * sign * row_sign[:, None]
+    ge_rows = ge.nonzero()[0]
+    T[ge_rows, np.arange(ns, ns + ge_rows.shape[0])] = -1.0
+    T[:m, -1] = b
 
     bland_threshold = 3 * (m + n)
-    pivots = 0
-    total_cols = M.shape[1] - 1
-
-    if art_rows:
-        cost1 = np.zeros(total_cols)
-        cost1[art_start:] = -1.0
-        try:
-            pivots, _ = _run_simplex(M, basis, cost1, bland_threshold, pivots)
-        except _Unbounded:  # pragma: no cover - phase 1 objective is bounded
+    phase1 = _SKIPPED
+    drop: list[int] = []
+    if art.any():
+        # phase 1 maximizes minus the sum of the artificials
+        T[m] = -T[:m][art].sum(axis=0)
+        phase1 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS)
+        if phase1.unbounded is not None:  # pragma: no cover - phase 1 objective is bounded
             raise RuntimeError("phase 1 reported unbounded; tableau is corrupt")
-        infeasibility = -float(cost1[basis] @ M[:, -1])
-        if infeasibility > FEASIBILITY_TOL:
-            return LpOutcome(LpStatus.INFEASIBLE)
+        # an artificial is row r's violation; compare it with the size of the
+        # terms of row r at the phase 1 point, so each row has its own scale
+        point = np.zeros(art_start + int(art.sum()))
+        point[basis] = T[:m, -1]
+        magnitude = np.abs(lp.A[art]) @ np.bincount(var, weights=point[:ns], minlength=n)
+        magnitude[ge[art]] += point[slack_id[ge]]
+        if (point[art_start:] > FEASIBILITY_TOL * np.maximum(b[art], magnitude)).any():
+            return LpOutcome(LpStatus.INFEASIBLE, stats=_stats(phase1, _SKIPPED, 0))
         # drive leftover artificials out of the basis, dropping redundant rows
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] < art_start:
-                continue
-            options = np.nonzero(np.abs(M[i, :art_start]) > PIVOT_TOL)[0]
+        for i in (basis >= art_start).nonzero()[0].tolist():
+            options = ((np.abs(T[i, :-1]) > PIVOT_TOL) & (nonbasic < art_start)).nonzero()[0]
             if options.size:
-                _pivot(M, i, int(options[0]))
-                basis[i] = int(options[0])
+                _pivot(T, basis, nonbasic, i, int(options[nonbasic[options].argmin()]))
             else:
                 drop.append(i)
-        if drop:
-            M = np.delete(M, drop, axis=0)
-            basis = np.delete(basis, drop)
-        M = np.delete(M, np.s_[art_start:-1], axis=1)
+        keep = nonbasic < art_start
+        T = np.delete(T[:, np.append(keep, True)], drop, axis=0)
+        nonbasic = nonbasic[keep]
+        basis = np.delete(basis, drop)
+        m = basis.shape[0]
 
-    cost2 = np.zeros(M.shape[1] - 1)
-    for k, (j, sign) in enumerate(col_var):
-        cost2[k] = sign * lp.objective[j]
+    cost = np.zeros(art_start)
+    cost[:ns] = sign * lp.objective[var]
+    T[m] = cost[basis] @ T[:m]
+    T[m, :-1] -= cost[nonbasic]
+    phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS - phase1.pivots)
+    stats = _stats(phase1, phase2, len(drop))
 
     def fold(values: np.ndarray) -> np.ndarray:
-        out = np.zeros(n)
-        for k, (j, sign) in enumerate(col_var):
-            out[j] += sign * values[k]
-        return out
+        return np.bincount(var, weights=sign * values[:ns], minlength=n)
 
-    def basic_values() -> np.ndarray:
-        v = np.zeros(M.shape[1] - 1)
-        v[basis] = M[:, -1]
-        return v
-
-    try:
-        pivots, _ = _run_simplex(M, basis, cost2, bland_threshold, pivots)
-    except _Unbounded as u:
-        point = fold(basic_values()[:ns])
-        ray_std = np.zeros(M.shape[1] - 1)
-        ray_std[u.entering] = 1.0
-        ray_std[basis] = -M[:, u.entering]
-        ray = fold(ray_std[:ns])
-        return LpOutcome(LpStatus.UNBOUNDED, x=point, ray=ray)
-
-    x = fold(basic_values()[:ns])
-    return LpOutcome(LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x))
+    point = np.zeros(art_start)
+    point[basis] = T[:m, -1]
+    x = fold(point)
+    if phase2.unbounded is not None:
+        ray = np.zeros(art_start)
+        ray[nonbasic[phase2.unbounded]] = 1.0
+        ray[basis] = -T[:m, phase2.unbounded]
+        return LpOutcome(LpStatus.UNBOUNDED, x=x, ray=fold(ray), stats=stats)
+    return LpOutcome(LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats)

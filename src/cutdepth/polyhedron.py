@@ -78,7 +78,9 @@ def _project_rows(space: AffineSpace, rows: np.ndarray) -> tuple[np.ndarray, np.
     if space.num_equalities == 0:
         return rows.copy(), np.zeros((rows.shape[0], 0))
     mus = cholesky_solve_factored(space.gram_factor, -(space.A @ rows.T)).T
-    return rows + mus @ space.A, mus
+    gammas = mus @ space.A
+    gammas += rows
+    return gammas, mus
 
 
 def project_onto_direction_space(space: AffineSpace, a) -> np.ndarray:
@@ -139,7 +141,8 @@ class NormalizedPolyhedron:
                 f"expected {self.normals.shape[0]}"
             )
         if self.num_rows:
-            norms = np.linalg.norm(self.normals, axis=1)
+            # einsum builds no full-size squared copy, unlike np.linalg.norm
+            norms = np.sqrt(np.einsum("ij,ij->i", self.normals, self.normals))
             if float(np.abs(norms - 1.0).max()) > UNIT_NORM_TOL:
                 raise ValueError("normalized rows must have unit Euclidean norm")
             if self.space.num_equalities:
@@ -172,7 +175,8 @@ def normalize(poly: HPolyhedron) -> NormalizedPolyhedron:
             f"row {degenerate[0]}: normal is orthogonal to the affine hull"
         )
     offsets = (poly.b + mus @ space.b) / norms
-    return NormalizedPolyhedron(gammas / norms[:, None], offsets, space)
+    gammas /= norms[:, None]
+    return NormalizedPolyhedron(gammas, offsets, space)
 
 
 def shrink(poly: NormalizedPolyhedron, lam: float) -> NormalizedPolyhedron:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cutdepth.cli.suites import random_corner
+from cutdepth.corner import standard_form_model
 from cutdepth.depth import (
     DepthKind,
     cut_depth,
@@ -244,6 +246,57 @@ class TestCutDepthStandardForm:
             if via_model.kind == DepthKind.FINITE:
                 assert via_model.value == pytest.approx(via_rows.value, abs=1e-7)
             agreed += 1
+
+
+def _scale_instances():
+    """(model, [cut, ...]) pairs: the unit box with a vacuous and a finite
+    cut, plus seeded random corners whose cuts cover every kind."""
+    unit_box = StandardFormModel(AffineSpace.full_space(2), [0.0, 0.0], [1.0, 1.0])
+    yield unit_box, [Cut([1.0, 0.0], -1.0), Cut([1.0, 1.0], 1.5)]
+    rng = np.random.default_rng(3)
+    for index in range(10):
+        corner = random_corner(rng, index)
+        m = corner.data.num_basic
+        cuts = [Cut(np.concatenate([np.zeros(m), c.coeffs]), c.rhs) for c, _ in corner.cuts]
+        yield standard_form_model(corner.data), cuts
+
+
+def _scaled(model, t):
+    space = AffineSpace(model.space.A, t * model.space.b)
+    return StandardFormModel(space, t * model.lower, t * model.upper)
+
+
+class TestScaleInvariance:
+    """Depth is positively homogeneous: scaling the body and the cut's rhs by
+    t > 0 keeps the kind and scales a finite depth by t."""
+
+    @pytest.mark.parametrize(
+        "depth_of",
+        [
+            lambda model, cut: cut_depth(from_standard_form(model), cut),
+            cut_depth_standard_form,
+        ],
+        ids=["inequality-lp", "standard-form-lp"],
+    )
+    def test_kind_and_value_scale_with_the_body(self, depth_of):
+        for model, cuts in _scale_instances():
+            for cut in cuts:
+                reference = depth_of(model, cut)
+                for t in 10.0 ** np.arange(-8, 9):
+                    result = depth_of(_scaled(model, t), Cut(cut.coeffs, t * cut.rhs))
+                    assert result.kind == reference.kind, (t, cut)
+                    if reference.kind == DepthKind.FINITE:
+                        expected = t * reference.value
+                        assert result.value == pytest.approx(expected, rel=1e-9, abs=1e-12 * t)
+
+    def test_box_cut_that_removes_nothing(self):
+        for h in (1e-8, 1.0, 1e8):
+            Q = box([0.0, 0.0], [h, h])
+            assert cut_depth(Q, Cut([1.0, 0.0], -h)).kind == DepthKind.NOT_VIOLATED
+
+    def test_long_side_does_not_hide_a_short_one(self):
+        Q = box([0.0, 0.0], [100.0, 1.0])
+        assert cut_depth(Q, Cut([0.0, 1.0], -1e-6)).kind == DepthKind.NOT_VIOLATED
 
 
 class TestClosedFormVsShrinkLp:

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from cutdepth import lp
+from cutdepth.constructions import depth_lower_bound_cone
+from cutdepth.depth import _depth_program
+from cutdepth.errors import IterationLimit
 from cutdepth.lp import (
     EQUAL,
     FREE,
@@ -11,6 +14,7 @@ from cutdepth.lp import (
     LinearProgram,
     LpStatus,
 )
+from cutdepth.polyhedron import AffineSpace, Cut, HPolyhedron, normalize
 
 from oracles import checked_solve, lp_optimum_by_vertex_enumeration
 
@@ -166,7 +170,8 @@ class TestDeterminism:
 
 class TestDegenerateInstances:
     def test_highly_degenerate_vertex(self):
-        # many redundant rows through the optimum force degenerate pivots
+        # five rows meet at the optimum and three more at the origin, where
+        # the simplex starts, so its first pivots are degenerate
         prog = make_lp(
             [1.0, 1.0],
             [
@@ -175,11 +180,230 @@ class TestDegenerateInstances:
                 [1.0, 1.0],
                 [2.0, 1.0],
                 [1.0, 2.0],
+                [1.0, -1.0],
+                [-1.0, 1.0],
+                [1.0, -2.0],
             ],
-            [LESS_EQUAL] * 5,
-            [1.0, 1.0, 2.0, 3.0, 3.0],
+            [LESS_EQUAL] * 8,
+            [1.0, 1.0, 2.0, 3.0, 3.0, 0.0, 0.0, 0.0],
             [NONNEGATIVE, NONNEGATIVE],
         )
         out = checked_solve(prog)
         assert out.status == LpStatus.OPTIMAL
         assert out.objective == pytest.approx(2.0, abs=1e-9)
+        assert out.stats.degenerate_pivots >= 1
+
+    def test_cycling_example_switches_to_bland(self):
+        # Beale's example cycles under Dantzig pricing with lowest-index
+        # leaving ties; Bland's rule must take over and reach the optimum
+        prog = make_lp(
+            [0.75, -20.0, 0.5, -6.0],
+            [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+            [LESS_EQUAL] * 3,
+            [0.0, 0.0, 1.0],
+            [NONNEGATIVE] * 4,
+        )
+        out = checked_solve(prog)
+        assert out.status == LpStatus.OPTIMAL
+        assert out.objective == pytest.approx(1.25, abs=1e-9)
+        assert out.stats.bland
+        assert out.stats.degenerate_pivots > 3 * (3 + 4)
+
+
+class TestSolveStats:
+    def test_phases_and_dropped_rows(self):
+        # the duplicated equality leaves an artificial that cannot be driven out
+        prog = make_lp(
+            [1.0, 1.0],
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
+            [EQUAL, EQUAL, LESS_EQUAL],
+            [2.0, 2.0, 1.5],
+            [NONNEGATIVE, NONNEGATIVE],
+        )
+        stats = lp.solve(prog).stats
+        assert stats.phase1_pivots >= 1
+        assert stats.dropped_rows == 1
+        assert not stats.bland
+
+    def test_no_phase_one_without_artificials(self):
+        prog = make_lp(
+            [1.0, 1.0],
+            [[1.0, 0.0], [0.0, 1.0]],
+            [LESS_EQUAL, LESS_EQUAL],
+            [1.0, 2.0],
+            [NONNEGATIVE, NONNEGATIVE],
+        )
+        stats = lp.solve(prog).stats
+        assert stats.phase1_pivots == 0
+        assert stats.phase2_pivots == 2
+
+    def test_pivot_budget_spans_both_phases(self, monkeypatch):
+        prog = make_lp(
+            [1.0, 2.0],
+            [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+            [GREATER_EQUAL, LESS_EQUAL, LESS_EQUAL],
+            [1.0, 2.0, 2.0],
+            [NONNEGATIVE, NONNEGATIVE],
+        )
+        stats = lp.solve(prog).stats
+        assert stats.phase1_pivots >= 1 and stats.phase2_pivots >= 1
+        total = stats.phase1_pivots + stats.phase2_pivots
+        monkeypatch.setattr(lp, "MAX_PIVOTS", total)
+        assert lp.solve(prog).status == LpStatus.OPTIMAL
+        monkeypatch.setattr(lp, "MAX_PIVOTS", total - 1)
+        with pytest.raises(IterationLimit):
+            lp.solve(prog)
+
+    def test_infeasible_stops_after_phase_one(self):
+        prog = make_lp([1.0], [[1.0], [1.0]], [GREATER_EQUAL, LESS_EQUAL], [2.0, 1.0], [FREE])
+        out = lp.solve(prog)
+        assert out.status == LpStatus.INFEASIBLE
+        assert out.stats.phase2_pivots == 0
+
+
+class TestRowScaledFeasibility:
+    """Each row's phase 1 violation is measured against that row's own scale,
+    so a large rhs elsewhere does not hide a violation."""
+
+    def test_far_row_does_not_hide_an_infeasible_pair(self):
+        prog = make_lp(
+            [1.0, 1.0],
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+            [LESS_EQUAL, GREATER_EQUAL, LESS_EQUAL],
+            [1e8, 1.0, 0.5],
+            [NONNEGATIVE, NONNEGATIVE],
+        )
+        assert lp.solve(prog).status == LpStatus.INFEASIBLE
+
+    def test_small_violation_on_a_small_row_is_infeasible(self):
+        # x2 <= -1e-6 against 0 <= x2 with x1 <= 100 in the same program
+        prog = make_lp(
+            [0.0, 0.0],
+            [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]],
+            [LESS_EQUAL, LESS_EQUAL, LESS_EQUAL],
+            [100.0, 1.0, -1e-6],
+            [NONNEGATIVE, NONNEGATIVE],
+        )
+        assert lp.solve(prog).status == LpStatus.INFEASIBLE
+
+    def test_tiny_rows_are_judged_at_their_own_scale(self):
+        prog = make_lp([1.0], [[1.0], [1.0]], [GREATER_EQUAL, LESS_EQUAL], [1e-300, 0.0], [FREE])
+        assert lp.solve(prog).status == LpStatus.INFEASIBLE
+
+def _highs(program):
+    """(status, objective) of the program by SciPy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rel = np.asarray(program.relations)
+    A_ub = np.vstack([program.A[rel == LESS_EQUAL], -program.A[rel == GREATER_EQUAL]])
+    b_ub = np.concatenate([program.rhs[rel == LESS_EQUAL], -program.rhs[rel == GREATER_EQUAL]])
+    eq = rel == EQUAL
+    bounds = [(None, None) if d == FREE else (0.0, None) for d in program.domains]
+    res = linprog(
+        -program.objective,
+        A_ub=A_ub if A_ub.shape[0] else None,
+        b_ub=b_ub if A_ub.shape[0] else None,
+        A_eq=program.A[eq] if eq.any() else None,
+        b_eq=program.rhs[eq] if eq.any() else None,
+        bounds=bounds,
+        method="highs",
+    )
+    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}[res.status]
+    return status, (-float(res.fun) if res.status == 0 else None)
+
+
+def _dense_depth_programs(seed, rows, n, hull):
+    """Depth LPs on a random body around x0 inside [-1, 1]^n: a cut that
+    removes x0 (finite), one whose halfspace misses the box (infeasible) and
+    a random one."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-0.3, 0.3, n)
+    k = rows - 2 * n
+    A = rng.standard_normal((k, n))
+    b = A @ x0 + np.linalg.norm(A, axis=1) * rng.uniform(0.2, 1.0, k)
+    A = np.vstack([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([b, np.ones(2 * n)])
+    if hull:
+        L = rng.standard_normal((hull, n))
+        space = AffineSpace(L, L @ x0)
+    else:
+        space = AffineSpace.full_space(n)
+    body = normalize(HPolyhedron(A, b, space))
+    a = rng.standard_normal(n)
+    cuts = [
+        Cut(a, float(a @ x0) + 0.3 * float(np.linalg.norm(a))),
+        Cut(a, -float(np.abs(a).sum()) - 1.0),
+        Cut(rng.standard_normal(n), float(rng.uniform(-1.0, 1.0))),
+    ]
+    return [_depth_program(body, cut) for cut in cuts]
+
+
+def _unbounded_programs(seed, count):
+    """max c @ x over A x <= b, x >= 0 where column 0 of A is nonpositive
+    and c_0 > 0, so x_0 can grow without bound."""
+    rng = np.random.default_rng(seed)
+    programs = []
+    for _ in range(count):
+        m, n = int(rng.integers(3, 12)), int(rng.integers(2, 8))
+        A = rng.uniform(-1.0, 1.0, (m, n))
+        A[:, 0] = -np.abs(A[:, 0])
+        c = rng.uniform(-1.0, 1.0, n)
+        c[0] = abs(c[0]) + 0.1
+        b = rng.uniform(0.5, 2.0, m)
+        programs.append(make_lp(c, A, [LESS_EQUAL] * m, b, [NONNEGATIVE] * n))
+    return programs
+
+
+class TestAgainstHighs:
+    """Differential test against SciPy's HiGHS (skipped without SciPy)."""
+
+    @staticmethod
+    def _agree(programs, expected=None):
+        for program in programs:
+            out = checked_solve(program)
+            status, value = _highs(program)
+            assert out.status == status
+            if expected is not None:
+                assert out.status == expected
+            if status == LpStatus.OPTIMAL:
+                assert out.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
+
+    @pytest.mark.parametrize("hull", [0, 3])
+    def test_dense_depth_programs(self, hull):
+        for seed in range(4):
+            self._agree(_dense_depth_programs(seed, 80, 20, hull))
+
+    def test_deep_cone(self):
+        body = normalize(depth_lower_bound_cone(8, 1e-4).polyhedron)
+        rng = np.random.default_rng(5)
+        cuts = [Cut(np.eye(8)[0] * -1.0, 0.0)]
+        for _ in range(4):
+            coeffs = rng.uniform(-0.2, 0.2, 8)
+            coeffs[0] = -1.0
+            cuts.append(Cut(coeffs, rng.uniform(-0.5, 0.0)))
+        self._agree([_depth_program(body, cut) for cut in cuts])
+
+    def test_infeasible_programs(self):
+        rng = np.random.default_rng(11)
+        programs = []
+        for _ in range(10):
+            prog = random_bounded_instance(rng)
+            # x_0 >= total cap + 1 contradicts the cap row sum(x) <= cap
+            row = np.zeros(prog.num_cols)
+            row[0] = 1.0
+            programs.append(
+                make_lp(
+                    prog.objective,
+                    np.vstack([prog.A, row]),
+                    prog.relations + (GREATER_EQUAL,),
+                    np.append(prog.rhs, prog.rhs[-1] + 1.0),
+                    prog.domains,
+                )
+            )
+        self._agree(programs, LpStatus.INFEASIBLE)
+
+    def test_unbounded_programs(self):
+        self._agree(_unbounded_programs(7, 10), LpStatus.UNBOUNDED)
+
+    def test_random_bounded_programs(self):
+        rng = np.random.default_rng(13)
+        self._agree([random_bounded_instance(rng) for _ in range(30)])
