@@ -122,7 +122,9 @@ def _embed_corner_cut(inst: Instance, cut: Cut) -> Cut:
     return Cut(np.concatenate([np.zeros(m), cut.coeffs]), cut.rhs)
 
 
-def _solve_cut(inst: Instance, cut: Cut, method: str):
+def _solve_cut(inst: Instance, body, cut: Cut, method: str):
+    """Depth of one cut; body is the normalized inequality instance, shared
+    by every cut so that its cut-free LP is solved once."""
     if method == "closed-form":
         if inst.kind != CORNER:
             raise InstanceError(
@@ -130,7 +132,7 @@ def _solve_cut(inst: Instance, cut: Cut, method: str):
             )
         return corner_cut_depth(build_corner(inst.polyhedron), cut)
     if inst.kind == INEQUALITY:
-        return cut_depth(normalize(inst.polyhedron), cut)
+        return cut_depth(body, cut)
     if inst.kind == STANDARD:
         return cut_depth_standard_form(inst.polyhedron, cut)
     model = standard_form_model(inst.polyhedron)
@@ -143,10 +145,13 @@ def cmd_depth(args) -> int:
     if method == "auto":
         method = "closed-form" if inst.kind == CORNER else "lp"
     primary = "lp" if method == "both" else method
+    body = None
+    if inst.kind == INEQUALITY and primary == "lp" and inst.cuts:
+        body = normalize(inst.polyhedron)
     records = []
     disagreements = 0
     for index, cut in enumerate(inst.cuts):
-        result = _solve_cut(inst, cut, primary)
+        result = _solve_cut(inst, body, cut, primary)
         record = {"index": index, **_depth_result_dict(result)}
         bounds = _cut_bounds(inst, cut)
         record["bounds"] = bounds
@@ -157,7 +162,7 @@ def cmd_depth(args) -> int:
         else:
             record["bound_respected"] = None
         if method == "both":
-            other = _solve_cut(inst, cut, "closed-form")
+            other = _solve_cut(inst, body, cut, "closed-form")
             agrees = other.kind == result.kind and (
                 result.kind != DepthKind.FINITE
                 or abs(other.value - result.value) <= BOUND_TOL

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import lp
 from .errors import EmptyPolyhedron, PointOutsideHull, PointOutsidePolyhedron
-from .linalg import as_vector
+from .linalg import as_vector, frozen
 from .polyhedron import Cut, NormalizedPolyhedron, StandardFormModel, bound_rows
 
 # membership tolerance for point queries
@@ -35,13 +35,16 @@ class DepthResult:
 
     Finite results carry the value and, when the LP attained it, a deepest
     removed point. Unbounded results surface a recession direction along
-    which removed points of arbitrary depth exist.
+    which removed points of arbitrary depth exist. LP results carry the
+    SolveStats of the solve that produced them; a cut re-optimized from the
+    body's cached optimum shows dual pivots only, no phase 1 or 2 pivots.
     """
 
     kind: DepthKind
     value: float | None = None
     point: np.ndarray | None = None
     ray: np.ndarray | None = None
+    stats: lp.SolveStats | None = None
 
     def __post_init__(self):
         if self.kind == DepthKind.FINITE:
@@ -51,16 +54,20 @@ class DepthResult:
             raise ValueError(f"{self.kind.value} results carry no value")
 
     @classmethod
-    def finite(cls, value: float, point: np.ndarray | None = None) -> "DepthResult":
-        return cls(DepthKind.FINITE, value=value, point=point)
+    def finite(
+        cls, value: float, point: np.ndarray | None = None, stats: lp.SolveStats | None = None
+    ) -> "DepthResult":
+        return cls(DepthKind.FINITE, value=value, point=point, stats=stats)
 
     @classmethod
-    def unbounded(cls, ray: np.ndarray | None = None) -> "DepthResult":
-        return cls(DepthKind.UNBOUNDED, ray=ray)
+    def unbounded(
+        cls, ray: np.ndarray | None = None, stats: lp.SolveStats | None = None
+    ) -> "DepthResult":
+        return cls(DepthKind.UNBOUNDED, ray=ray, stats=stats)
 
     @classmethod
-    def not_violated(cls) -> "DepthResult":
-        return cls(DepthKind.NOT_VIOLATED)
+    def not_violated(cls, stats: lp.SolveStats | None = None) -> "DepthResult":
+        return cls(DepthKind.NOT_VIOLATED, stats=stats)
 
     @property
     def is_finite(self) -> bool:
@@ -88,49 +95,6 @@ def point_depth(poly: NormalizedPolyhedron, x) -> float:
     return worst
 
 
-def _depth_program(poly: NormalizedPolyhedron, cut: Cut) -> lp.LinearProgram:
-    """max lam s.t. normals @ x + lam <= offsets, cut.coeffs @ x <= cut.rhs,
-    x on the hull, lam >= 0. Variables are (x, lam)."""
-    n = poly.dim
-    m = poly.num_rows
-    space = poly.space
-    p = space.num_equalities
-    A = np.zeros((m + 1 + p, n + 1))
-    rhs = np.zeros(m + 1 + p)
-    relations: list[str] = []
-    A[:m, :n] = poly.normals
-    A[:m, n] = 1.0
-    rhs[:m] = poly.offsets
-    relations += [lp.LESS_EQUAL] * m
-    A[m, :n] = cut.coeffs
-    rhs[m] = cut.rhs
-    relations.append(lp.LESS_EQUAL)
-    if p:
-        A[m + 1 :, :n] = space.A
-        rhs[m + 1 :] = space.b
-    relations += [lp.EQUAL] * p
-    objective = np.zeros(n + 1)
-    objective[n] = 1.0
-    domains = (lp.FREE,) * n + (lp.NONNEGATIVE,)
-    return lp.LinearProgram(objective, A, tuple(relations), rhs, domains)
-
-
-def _feasibility_program(poly: NormalizedPolyhedron) -> lp.LinearProgram:
-    n = poly.dim
-    m = poly.num_rows
-    space = poly.space
-    p = space.num_equalities
-    A = np.zeros((m + p, n))
-    rhs = np.zeros(m + p)
-    A[:m] = poly.normals
-    rhs[:m] = poly.offsets
-    if p:
-        A[m:] = space.A
-        rhs[m:] = space.b
-    relations = (lp.LESS_EQUAL,) * m + (lp.EQUAL,) * p
-    return lp.LinearProgram(np.zeros(n), A, relations, rhs, (lp.FREE,) * n)
-
-
 def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     """Depth of the cut coeffs @ x >= rhs with respect to the polyhedron.
 
@@ -138,19 +102,32 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     bounded; Unbounded when it is not (the integer set is empty or the cut
     is invalid); NotViolated when the cut removes nothing. Raises
     EmptyPolyhedron when the polyhedron itself is infeasible.
+
+    The depth LP is the body's cut-free program (poly.chebyshev, solved once
+    per body) plus the cut row, so the cut is scored by re-optimizing that
+    one row from the cached optimum. A body whose cut-free program is
+    unbounded has no such optimum; there the depth LP is solved from scratch.
     """
     if cut.dim != poly.dim:
         raise ValueError(f"cut has dimension {cut.dim}, expected {poly.dim}")
-    outcome = lp.solve(_depth_program(poly, cut))
+    base = poly.chebyshev
+    if base.status == lp.LpStatus.INFEASIBLE:
+        raise EmptyPolyhedron("the polyhedron has no feasible point")
+    if base.status == lp.LpStatus.OPTIMAL:
+        outcome = lp.add_row(base, np.append(cut.coeffs, 0.0), cut.rhs)
+    else:
+        outcome = lp.solve(poly.depth_program(cut))
+    return _depth_result(outcome, poly.dim)
+
+
+def _depth_result(outcome: lp.LpOutcome, n: int) -> DepthResult:
+    """The depth read off a depth LP over (x, lam, ...) whose polyhedron is
+    known to be nonempty."""
     if outcome.status == lp.LpStatus.INFEASIBLE:
-        feas = lp.solve(_feasibility_program(poly))
-        if feas.status == lp.LpStatus.INFEASIBLE:
-            raise EmptyPolyhedron("the polyhedron has no feasible point")
-        return DepthResult.not_violated()
-    n = poly.dim
+        return DepthResult.not_violated(outcome.stats)
     if outcome.status == lp.LpStatus.UNBOUNDED:
-        return DepthResult.unbounded(ray=outcome.ray[:n])
-    return DepthResult.finite(max(outcome.objective, 0.0), outcome.x[:n])
+        return DepthResult.unbounded(outcome.ray[:n], outcome.stats)
+    return DepthResult.finite(max(outcome.objective, 0.0), outcome.x[:n], outcome.stats)
 
 
 def _standard_form_program(
@@ -190,7 +167,7 @@ def _standard_form_program(
     objective = np.zeros(num_cols)
     objective[n] = 1.0
     domains = (lp.FREE,) * n + (lp.NONNEGATIVE,) * (1 + k)
-    return lp.LinearProgram(objective, A, tuple(relations), rhs, domains)
+    return lp.LinearProgram(frozen(objective), frozen(A), tuple(relations), frozen(rhs), domains)
 
 
 def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:
@@ -207,11 +184,7 @@ def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:
         feas = lp.solve(_standard_form_program(model, None))
         if feas.status == lp.LpStatus.INFEASIBLE:
             raise EmptyPolyhedron("the model has no feasible point")
-        return DepthResult.not_violated()
-    n = model.dim
-    if outcome.status == lp.LpStatus.UNBOUNDED:
-        return DepthResult.unbounded(ray=outcome.ray[:n])
-    return DepthResult.finite(max(outcome.objective, 0.0), outcome.x[:n])
+    return _depth_result(outcome, model.dim)
 
 
 def volume_lower_bound(n: int, depth: float) -> float:

@@ -20,10 +20,26 @@ PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-12
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """Make an array that the caller has just built read-only and return it,
+    so that as_vector and as_matrix take it over without copying."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _read_only(v) -> np.ndarray:
+    """v itself when it is a read-only float64 array owning its data, which
+    no one can change; otherwise a read-only float64 copy."""
+    if type(v) is np.ndarray and not v.flags.writeable:
+        if v.flags.owndata and v.dtype == np.float64:
+            return v
+    return frozen(np.array(v, dtype=float, copy=True))
+
+
 def as_vector(v, name: str = "vector", allow_infinite: bool = False) -> np.ndarray:
     """Coerce to a read-only 1-D float64 array, rejecting NaN (and, unless
     allowed, infinities)."""
-    arr = np.array(v, dtype=float, copy=True)
+    arr = _read_only(v)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if allow_infinite:
@@ -31,18 +47,16 @@ def as_vector(v, name: str = "vector", allow_infinite: bool = False) -> np.ndarr
             raise ValueError(f"{name} contains NaN entries")
     elif not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a read-only 2-D float64 array with finite entries."""
-    arr = np.array(M, dtype=float, copy=True)
+    arr = _read_only(M)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
     return arr
 
 

@@ -1,4 +1,5 @@
-"""Self-contained dense two-phase simplex solver.
+"""Self-contained dense two-phase simplex solver, with a dual simplex that
+re-optimizes an optimum after one more row.
 
 Maximizes a linear objective subject to <=, =, >= rows over free or
 nonnegative variables; free variables are split into positive and negative
@@ -7,13 +8,15 @@ columns and the rhs, one row per basic variable plus a reduced-cost row, so
 a pivot touches m x (nonbasic + 1) entries and never the identity of the
 basic columns. Deterministic: Dantzig pricing, leaving-row ties broken by
 lowest basis id, switching to Bland's rule (by original column id) after a
-fixed number of degenerate pivots.
+fixed number of degenerate pivots. An optimum keeps its final tableau, from
+which the row duals are read and from which add_row starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +36,8 @@ NONNEGATIVE = "nonneg"
 FEASIBILITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
 MAX_PIVOTS = 100_000
+# add_row holds the program's rows to this relative tolerance, roundoff only
+_ROUNDOFF = 1e-12
 # a ratio this small means the pivot will not move the objective
 _DEGENERATE_RATIO = 1e-12
 
@@ -88,31 +93,92 @@ class LinearProgram:
     def num_cols(self) -> int:
         return self.A.shape[1]
 
+    @cached_property
+    def _layout(self) -> "_Layout":
+        """How solve lays this program out as columns; see _Layout."""
+        free = np.array([dom == FREE for dom in self.domains], dtype=bool)
+        width = np.where(free, 2, 1)
+        var = np.repeat(np.arange(self.num_cols), width)
+        sign = np.ones(var.shape[0])
+        minus = np.cumsum(width)[free] - 1
+        sign[minus] = -1.0
+        ns = var.shape[0]
+        row_sign = np.where(self.rhs < 0.0, -1.0, 1.0)
+        sense = np.array([_SENSE[rel] for rel in self.relations]) * row_sign
+        ineq = sense != 0.0
+        art = sense <= 0.0
+        slack_id = ns + np.cumsum(ineq) - 1
+        art_start = ns + int(ineq.sum())
+        art_id = art_start + np.cumsum(art) - 1
+        ids = art_start + int(art.sum())
+        partner = np.full(ids, -1)
+        partner[minus] = minus - 1
+        partner[minus - 1] = minus
+        # a slack enters its (negated) row with coefficient sense, an artificial
+        # with +1; undoing the negation gives the dual of the row as written
+        return _Layout(
+            var, sign, row_sign, sense, slack_id, art_id, art_start, ids, partner,
+            col_id=np.where(ineq, slack_id, art_id),
+            dual_sign=np.where(ineq, sense, 1.0) * row_sign,
+        )
+
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What the simplex did: pivots per phase, degenerate pivots over both
-    phases, whether Bland's rule took over, and redundant rows dropped after
-    phase 1."""
+    """What the simplex did: pivots per phase, dual simplex pivots (add_row),
+    degenerate pivots over all of them, whether Bland's rule took over, and
+    redundant rows dropped after phase 1."""
 
     phase1_pivots: int = 0
     phase2_pivots: int = 0
     degenerate_pivots: int = 0
     bland: bool = False
     dropped_rows: int = 0
+    dual_pivots: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class LpOutcome:
-    """Solve result. Optimal carries x and the objective value; Unbounded
+    """Solve result. Optimal carries x, the objective value and one dual per
+    row (>= 0 on <= rows, <= 0 on >= rows, free on = rows, 0 on rows dropped
+    as redundant), so that rhs @ duals equals the objective; Unbounded
     carries a feasible point and an improving ray; Infeasible carries
-    neither. Every outcome from solve carries its SolveStats."""
+    neither. Every outcome carries its SolveStats.
+
+    An optimum from solve also keeps the program, its final condensed
+    tableau and the original column ids of the tableau's basic rows and
+    nonbasic columns: the warm start of add_row.
+    """
 
     status: LpStatus
     x: np.ndarray | None = None
     objective: float | None = None
     ray: np.ndarray | None = None
     stats: SolveStats = SolveStats()
+    duals: np.ndarray | None = None
+    program: LinearProgram | None = None
+    tableau: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    nonbasic: np.ndarray | None = None
+
+
+class _Layout(NamedTuple):
+    """How solve lays a program out as columns, by id: one structural column
+    per nonnegative variable and a +/- pair per free one, then a slack per
+    inequality row in row order, then an artificial per >= or = row; rows
+    with a negative rhs are negated first, which swaps <= and >=."""
+
+    var: np.ndarray  # program column of each structural column
+    sign: np.ndarray  # -1 on the negative part of a free variable
+    row_sign: np.ndarray  # -1 on negated rows
+    sense: np.ndarray  # +1 <=, -1 >=, 0 = after the negation
+    slack_id: np.ndarray  # per row; meaningful on inequality rows
+    art_id: np.ndarray  # per row; meaningful on >= and = rows
+    art_start: int
+    ids: int  # number of column ids
+    partner: np.ndarray  # by id: the other part of a free variable, or -1
+    col_id: np.ndarray  # per row: the slack, or on = rows the artificial
+    dual_sign: np.ndarray  # per row: dual = dual_sign * reduced cost of col_id
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col: int) -> None:
@@ -141,16 +207,18 @@ _SKIPPED = _Phase(0, 0, False, None)
 
 
 def _run_simplex(
-    T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, bland_threshold: int, budget: int
+    T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, bland_threshold: int, budget: int,
+    priced: int,
 ) -> _Phase:
     """Pivot until optimal or unbounded, at most budget times.
 
     T is the condensed tableau: row i < m belongs to the basic variable
     basis[i], column j to the nonbasic variable nonbasic[j] (original column
-    ids), row m holds the reduced costs and the last column the rhs.
+    ids), row m holds the reduced costs and the last column the rhs. Only
+    the first priced columns may enter; the rest are carried along.
     """
     m = basis.shape[0]
-    reduced = T[m, :-1]
+    reduced = T[m, :priced]
     rhs = T[:m, -1]
     pivots = degenerate = 0
     bland = False
@@ -193,55 +261,62 @@ def _stats(phase1: _Phase, phase2: _Phase, dropped_rows: int) -> SolveStats:
     )
 
 
+def _fold(lay: _Layout, values: np.ndarray, n: int) -> np.ndarray:
+    """Program variables from values by column id: x_j = x_j+ - x_j-."""
+    ns = lay.var.shape[0]
+    return np.bincount(lay.var, weights=lay.sign * values[:ns], minlength=n)
+
+
+def _optimum(
+    lay: _Layout, n: int, T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, duals) at an optimal tableau of a program with n columns; a row
+    whose column is basic, or that was dropped, has dual 0."""
+    m = basis.shape[0]
+    point = np.zeros(lay.ids)
+    point[basis] = T[:m, -1]
+    reduced = np.zeros(lay.ids)
+    reduced[nonbasic] = T[m, :-1]
+    return _fold(lay, point, n), lay.dual_sign * reduced[lay.col_id]
+
+
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve the program; see LpOutcome for the result contract."""
     m, n = lp.num_rows, lp.num_cols
-
-    # structural columns: one per nonnegative variable, a +/- pair per free one
-    free = np.array([dom == FREE for dom in lp.domains], dtype=bool)
-    width = np.where(free, 2, 1)
-    var = np.repeat(np.arange(n), width)
-    sign = np.ones(var.shape[0])
-    sign[np.cumsum(width)[free] - 1] = -1.0
-    ns = var.shape[0]
-
-    # rows with a negative rhs are negated, which swaps <= and >=
-    row_sign = np.where(lp.rhs < 0.0, -1.0, 1.0)
-    sense = np.array([_SENSE[rel] for rel in lp.relations]) * row_sign
-    le = sense > 0.0
-    ge = sense < 0.0
-    ineq = le | ge
+    lay = lp._layout
+    ns = lay.var.shape[0]
+    art_start = lay.art_start
+    le = lay.sense > 0.0
+    ge = lay.sense < 0.0
     art = ~le
-    b = lp.rhs * row_sign
+    b = lp.rhs * lay.row_sign
 
-    # column ids: structural, then one slack per inequality row in row order
-    # (+1 on <=, -1 on >=), then one artificial per >= or = row; the slacks
-    # of <= rows and the artificials start basic, the rest nonbasic
-    slack_id = ns + np.cumsum(ineq) - 1
-    art_start = ns + int(ineq.sum())
-    basis = np.where(art, art_start + np.cumsum(art) - 1, slack_id)
-    nonbasic = np.concatenate([np.arange(ns), slack_id[ge]])
+    # the slacks of <= rows and the artificials start basic, the rest nonbasic
+    basis = np.where(art, lay.art_id, lay.slack_id)
+    nonbasic = np.concatenate([np.arange(ns), lay.slack_id[ge]])
     T = np.zeros((m + 1, nonbasic.shape[0] + 1))
-    T[:m, :ns] = lp.A[:, var] * sign * row_sign[:, None]
+    T[:m, :ns] = lp.A[:, lay.var] * lay.sign * lay.row_sign[:, None]
     ge_rows = ge.nonzero()[0]
     T[ge_rows, np.arange(ns, ns + ge_rows.shape[0])] = -1.0
     T[:m, -1] = b
 
     bland_threshold = 3 * (m + n)
+    ids = lay.ids
     phase1 = _SKIPPED
     drop: list[int] = []
+    priced = nonbasic.shape[0]
     if art.any():
         # phase 1 maximizes minus the sum of the artificials
         T[m] = -T[:m][art].sum(axis=0)
-        phase1 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS)
+        phase1 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS, priced)
         if phase1.unbounded is not None:  # pragma: no cover - phase 1 objective is bounded
             raise RuntimeError("phase 1 reported unbounded; tableau is corrupt")
         # an artificial is row r's violation; compare it with the size of the
         # terms of row r at the phase 1 point, so each row has its own scale
-        point = np.zeros(art_start + int(art.sum()))
+        point = np.zeros(ids)
         point[basis] = T[:m, -1]
-        magnitude = np.abs(lp.A[art]) @ np.bincount(var, weights=point[:ns], minlength=n)
-        magnitude[ge[art]] += point[slack_id[ge]]
+        magnitude = np.abs(lp.A[art]) @ np.bincount(lay.var, weights=point[:ns], minlength=n)
+        magnitude[ge[art]] += point[lay.slack_id[ge]]
         if (point[art_start:] > FEASIBILITY_TOL * np.maximum(b[art], magnitude)).any():
             return LpOutcome(LpStatus.INFEASIBLE, stats=_stats(phase1, _SKIPPED, 0))
         # drive leftover artificials out of the basis, dropping redundant rows
@@ -251,28 +326,155 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 _pivot(T, basis, nonbasic, i, int(options[nonbasic[options].argmin()]))
             else:
                 drop.append(i)
+        # the artificials of = rows stay, after the other columns, as columns
+        # that never enter again: their reduced costs are those rows' duals
         keep = nonbasic < art_start
-        T = np.delete(T[:, np.append(keep, True)], drop, axis=0)
-        nonbasic = nonbasic[keep]
-        basis = np.delete(basis, drop)
+        held = np.zeros(ids, dtype=bool)
+        held[lay.art_id[lay.sense == 0.0]] = True
+        held = held[nonbasic]
+        order = np.concatenate([keep.nonzero()[0], held.nonzero()[0], [-1]])
+        T = T.take(order, axis=1)  # T[:, order] would come back in Fortran order
+        nonbasic = nonbasic[order[:-1]]
+        if drop:
+            T = np.delete(T, drop, axis=0)
+            basis = np.delete(basis, drop)
+        priced = int(keep.sum())
         m = basis.shape[0]
 
-    cost = np.zeros(art_start)
-    cost[:ns] = sign * lp.objective[var]
+    cost = np.zeros(ids)
+    cost[:ns] = lay.sign * lp.objective[lay.var]
     T[m] = cost[basis] @ T[:m]
     T[m, :-1] -= cost[nonbasic]
-    phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS - phase1.pivots)
+    phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS - phase1.pivots, priced)
     stats = _stats(phase1, phase2, len(drop))
-
-    def fold(values: np.ndarray) -> np.ndarray:
-        return np.bincount(var, weights=sign * values[:ns], minlength=n)
-
-    point = np.zeros(art_start)
+    if phase2.unbounded is None:
+        x, duals = _optimum(lay, n, T, basis, nonbasic)
+        # a part of a free variable whose other part is basic has minus a
+        # unit column and a zero reduced cost; it can never enter again, so
+        # the kept tableau leaves it out
+        basic = np.zeros(ids + 1, dtype=bool)
+        basic[basis] = True
+        live = (~basic[lay.partner[nonbasic]]).nonzero()[0]
+        if live.shape[0] < nonbasic.shape[0]:
+            T = T.take(np.append(live, -1), axis=1)
+            nonbasic = nonbasic[live]
+        return LpOutcome(
+            LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats,
+            duals=duals, program=lp, tableau=T, basis=basis, nonbasic=nonbasic,
+        )
+    point = np.zeros(ids)
     point[basis] = T[:m, -1]
-    x = fold(point)
-    if phase2.unbounded is not None:
-        ray = np.zeros(art_start)
-        ray[nonbasic[phase2.unbounded]] = 1.0
-        ray[basis] = -T[:m, phase2.unbounded]
-        return LpOutcome(LpStatus.UNBOUNDED, x=x, ray=fold(ray), stats=stats)
-    return LpOutcome(LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats)
+    ray = np.zeros(ids)
+    ray[nonbasic[phase2.unbounded]] = 1.0
+    ray[basis] = -T[:m, phase2.unbounded]
+    return LpOutcome(
+        LpStatus.UNBOUNDED, x=_fold(lay, point, n), ray=_fold(lay, ray, n), stats=stats
+    )
+
+
+def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
+    """Re-optimize base's program with the row coeffs @ x <= rhs appended.
+
+    base must be an optimum from solve. Its basis stays dual feasible with
+    the new row's slack added to it, so a dual simplex on a copy of its
+    tableau (base is left as it was) ends OPTIMAL or INFEASIBLE; duals
+    cover the appended row last. The leaving row is the most negative
+    basic variable beyond its tolerance (parts of free variables may go
+    negative; they never leave), the entering column the least ratio of
+    reduced cost to row entry, ties to the lowest column id, and Bland's
+    rule (lowest-id leaving row) takes over after 3(m + n) degenerate
+    pivots. The appended row may end violated by FEASIBILITY_TOL times its
+    scale, taken as in solve's phase 1 (the larger of |rhs| and the sum of
+    its |terms| at the current point), and the program's own rows, which
+    base already meets, by roundoff (_ROUNDOFF times their scales); a basic
+    variable is held to the sum of these allowances over the rows its
+    tableau row combines, weighted by the multipliers. So the verdict
+    depends neither on the data's scale nor on unrelated rows, and
+    INFEASIBLE means that the new row misses the program's feasible set by
+    more than its own tolerance.
+    """
+    lp = base.program
+    coeffs = as_vector(coeffs, "coeffs")
+    rhs = float(rhs)
+    if coeffs.shape[0] != lp.num_cols:
+        raise ValueError(f"coeffs has length {coeffs.shape[0]}, expected {lp.num_cols}")
+    lay = lp._layout
+    rows, ids = lp.num_rows, lay.ids
+    # the appended row is row `rows`; its slack, id `ids`, starts basic
+    lay = lay._replace(
+        ids=ids + 1,
+        partner=np.append(lay.partner, -1),
+        col_id=np.append(lay.col_id, ids),
+        dual_sign=np.append(lay.dual_sign, 1.0),
+    )
+    # the row whose slack or artificial each id is, -1 on structural ids
+    owner = np.full(ids + 1, -1)
+    owner[lay.col_id] = np.arange(rows + 1)
+    ns = lay.var.shape[0]
+    a = np.zeros(ids)
+    a[:ns] = coeffs[lay.var] * lay.sign
+    m = base.basis.shape[0]
+    T = np.empty((m + 2, base.tableau.shape[1]))
+    T[:m] = base.tableau[:m]
+    T[m + 1] = base.tableau[m]
+    # the row in terms of the nonbasic columns: a_N - a_B T, rhs - a_B T_rhs
+    np.matmul(-a[base.basis], base.tableau[:m], out=T[m])
+    T[m, :-1] += a[base.nonbasic]
+    T[m, -1] += rhs
+    basis = np.append(base.basis, ids)
+    nonbasic = base.nonbasic.copy()
+    priced = int((nonbasic < lay.art_start).sum())
+    m += 1
+
+    b = np.append(lp.rhs, rhs)
+    abs_coeffs = np.abs(coeffs)
+    # each row's allowance, with a spare zero at index -1 for structural ids
+    allowed = np.zeros(rows + 2)
+    bland_threshold = 3 * (m + lp.num_cols)
+    pivots = degenerate = 0
+    bland = False
+    values = T[:m, -1]
+    reduced = T[m, :priced]
+    while True:
+        negative = ((values < 0.0) & (lay.partner[basis] < 0)).nonzero()[0]
+        if negative.size:
+            point = np.zeros(ids + 1)
+            point[basis] = values
+            size = np.abs(_fold(lay, point, lp.num_cols))
+            # a tableau row weighs the program's rows by its entries in their
+            # slack and artificial columns, and its basic variable's own row by 1
+            weigh = owner[nonbasic]
+            own = owner[basis[negative]]
+            need = np.concatenate([weigh, own])
+            need = need[(need >= 0) & (need < rows)]
+            allowed[need] = _ROUNDOFF * np.maximum(np.abs(b[need]), np.abs(lp.A[need]) @ size)
+            allowed[rows] = FEASIBILITY_TOL * max(abs(rhs), float(abs_coeffs @ size))
+            tol = allowed[own] + np.abs(T[negative, :-1]) @ allowed[weigh]
+            negative = negative[values[negative] < -tol]
+        if negative.size == 0:
+            x, duals = _optimum(lay, lp.num_cols, T, basis, nonbasic)
+            stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)
+            return LpOutcome(
+                LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats, duals=duals
+            )
+        if bland:
+            leave = int(negative[basis[negative].argmin()])
+        else:
+            leave = int(negative[values[negative].argmin()])
+        row = T[leave, :priced]
+        eligible = (row < -PIVOT_TOL).nonzero()[0]
+        if eligible.size == 0:
+            stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)
+            return LpOutcome(LpStatus.INFEASIBLE, stats=stats)
+        ratios = np.maximum(reduced[eligible], 0.0) / -row[eligible]
+        best = ratios.min()
+        tied = eligible[ratios <= best + _DEGENERATE_RATIO * (1.0 + best)]
+        enter = int(tied[nonbasic[tied].argmin()])
+        if best < _DEGENERATE_RATIO:
+            degenerate += 1
+            if degenerate > bland_threshold:
+                bland = True
+        _pivot(T, basis, nonbasic, leave, enter)
+        pivots += 1
+        if pivots > MAX_PIVOTS:
+            raise IterationLimit(f"dual simplex exceeded {MAX_PIVOTS} pivots")

@@ -14,8 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import lp
 from .errors import DegenerateConstraint
-from .linalg import as_matrix, as_vector, cholesky_factor, cholesky_solve_factored
+from .linalg import as_matrix, as_vector, cholesky_factor, cholesky_solve_factored, frozen
 
 # Rows whose projected normal is shorter than this are orthogonal to the hull.
 DEGENERATE_NORM_TOL = 1e-10
@@ -158,6 +159,38 @@ class NormalizedPolyhedron:
     def dim(self) -> int:
         return self.normals.shape[1]
 
+    def depth_program(self, cut: "Cut | None" = None) -> lp.LinearProgram:
+        """max lam s.t. normals @ x + lam <= offsets, cut.coeffs @ x <= cut.rhs
+        when a cut is given, x on the hull, lam >= 0. Variables are (x, lam)."""
+        n = self.dim
+        m = self.num_rows
+        k = m + (cut is not None)
+        p = self.space.num_equalities
+        A = np.zeros((k + p, n + 1))
+        rhs = np.zeros(k + p)
+        A[:m, :n] = self.normals
+        A[:m, n] = 1.0
+        rhs[:m] = self.offsets
+        if cut is not None:
+            A[m, :n] = cut.coeffs
+            rhs[m] = cut.rhs
+        A[k:, :n] = self.space.A
+        rhs[k:] = self.space.b
+        objective = np.zeros(n + 1)
+        objective[n] = 1.0
+        relations = (lp.LESS_EQUAL,) * k + (lp.EQUAL,) * p
+        domains = (lp.FREE,) * n + (lp.NONNEGATIVE,)
+        return lp.LinearProgram(frozen(objective), frozen(A), relations, frozen(rhs), domains)
+
+    @cached_property
+    def chebyshev(self) -> lp.LpOutcome:
+        """The cut-free depth program, solved on first use: optimal at a
+        Chebyshev centre with the body's depth (the largest depth of any
+        point), unbounded when points of any depth exist, infeasible when
+        the body is empty. Its optimal tableau is the warm start of every
+        cut-depth LP over the body."""
+        return lp.solve(self.depth_program())
+
 
 def normalize(poly: HPolyhedron) -> NormalizedPolyhedron:
     """Rewrite an inequality-form polyhedron with unit-norm in-hull rows.
@@ -176,7 +209,7 @@ def normalize(poly: HPolyhedron) -> NormalizedPolyhedron:
         )
     offsets = (poly.b + mus @ space.b) / norms
     gammas /= norms[:, None]
-    return NormalizedPolyhedron(gammas, offsets, space)
+    return NormalizedPolyhedron(frozen(gammas), frozen(offsets), space)
 
 
 def shrink(poly: NormalizedPolyhedron, lam: float) -> NormalizedPolyhedron:
@@ -184,7 +217,7 @@ def shrink(poly: NormalizedPolyhedron, lam: float) -> NormalizedPolyhedron:
     if not (lam >= 0.0) or not math.isfinite(lam):
         raise ValueError(f"lam must be a finite value >= 0, got {lam}")
     return NormalizedPolyhedron(
-        poly.normals, poly.offsets - lam, poly.space, poly.dropped_bounds
+        poly.normals, frozen(poly.offsets - lam), poly.space, poly.dropped_bounds
     )
 
 
@@ -290,7 +323,7 @@ def from_standard_form(model: StandardFormModel) -> NormalizedPolyhedron:
         else:
             normals[i] = -r.gamma / r.norm
             offsets[i] = -(r.value + r.shift) / r.norm
-    return NormalizedPolyhedron(normals, offsets, model.space, dropped)
+    return NormalizedPolyhedron(frozen(normals), frozen(offsets), model.space, dropped)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cutdepth import lp
 from cutdepth.cli.suites import random_corner
+from cutdepth.constructions import depth_lower_bound_cone
 from cutdepth.corner import standard_form_model
 from cutdepth.depth import (
     DepthKind,
@@ -297,6 +299,131 @@ class TestScaleInvariance:
     def test_long_side_does_not_hide_a_short_one(self):
         Q = box([0.0, 0.0], [100.0, 1.0])
         assert cut_depth(Q, Cut([0.0, 1.0], -1e-6)).kind == DepthKind.NOT_VIOLATED
+
+
+def _dense_body(rng, rows, n, hull, duplicates=0):
+    """Random rows around an interior point x0 plus the box [-1, 1]^n, the
+    first rows repeated `duplicates` times, on a hull through x0 if asked."""
+    x0 = rng.uniform(-0.3, 0.3, n)
+    k = rows - 2 * n
+    A = rng.standard_normal((k, n))
+    b = A @ x0 + np.linalg.norm(A, axis=1) * rng.uniform(0.2, 1.0, k)
+    A = np.vstack([A, np.eye(n), -np.eye(n), A[:duplicates]])
+    b = np.concatenate([b, np.ones(2 * n), b[:duplicates]])
+    if hull:
+        L = rng.standard_normal((hull, n))
+        return normalize(HPolyhedron(A, b, AffineSpace(L, L @ x0))), x0
+    return normalize(HPolyhedron(A, b, AffineSpace.full_space(n))), x0
+
+
+def _cold(body, cut):
+    """(kind, value) of the depth LP solved from scratch."""
+    outcome = lp.solve(body.depth_program(cut))
+    if outcome.status == lp.LpStatus.INFEASIBLE:
+        return DepthKind.NOT_VIOLATED, None
+    assert outcome.status == lp.LpStatus.OPTIMAL
+    return DepthKind.FINITE, max(outcome.objective, 0.0)
+
+
+def _is_warm(result):
+    return result.stats.phase1_pivots == result.stats.phase2_pivots == 0
+
+
+class TestWarmStart:
+    """Bodies with a bounded cut-free LP score cuts by re-optimizing the
+    cached Chebyshev-centre optimum; the result matches a cold solve."""
+
+    def _bodies(self):
+        rng = np.random.default_rng(17)
+        for hull, duplicates in ((0, 0), (3, 0), (0, 6), (2, 4)):
+            body, x0 = _dense_body(rng, 60, 12, hull, duplicates)
+            cuts = []
+            for i in range(9):
+                a = rng.standard_normal(12)
+                rhs = [
+                    float(a @ x0) + 0.3 * float(np.linalg.norm(a)),  # removes x0
+                    float(rng.uniform(-1.0, 1.0)),
+                    -float(np.abs(a).sum()) - 1.0,  # misses the box
+                ][i % 3]
+                cuts.append(Cut(a, rhs))
+            yield body, cuts
+        # the Chebyshev centres of [0, 1] x [0, 3] fill a segment
+        cuts = [Cut(c, r) for c, r in (([1, 0], 0.5), ([0, 1], 1.0), ([0, -1], -3.0),
+                                       ([1, 1], 0.0), ([-1, 0], -0.25), ([0, 1], -1.0))]
+        yield box([0.0, 0.0], [1.0, 3.0]), cuts
+
+    def test_warm_matches_cold(self):
+        kinds = set()
+        for body, cuts in self._bodies():
+            assert body.chebyshev.status == lp.LpStatus.OPTIMAL
+            for cut in cuts:
+                result = cut_depth(body, cut)
+                kind, value = _cold(body, cut)
+                assert _is_warm(result)
+                assert result.kind == kind
+                kinds.add(kind)
+                if kind == DepthKind.FINITE:
+                    assert result.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+                    assert point_depth(body, result.point) >= result.value - 1e-9
+                    assert cut.coeffs @ result.point <= cut.rhs + 1e-9
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED}
+
+    def test_scoring_leaves_the_cache_unchanged(self):
+        rng = np.random.default_rng(4)
+        body, x0 = _dense_body(rng, 80, 15, 2)
+        a, b = rng.standard_normal((2, 15))
+        A = Cut(a, float(a @ x0) + 0.2)
+        B = Cut(b, float(b @ x0) + 0.4)
+        first, _, again = cut_depth(body, A), cut_depth(body, B), cut_depth(body, A)
+        assert first.stats.dual_pivots > 0
+        assert again.value == first.value
+        assert again.point.tobytes() == first.point.tobytes()
+        assert again.stats == first.stats
+
+    def test_empty_body_raises_on_every_call(self):
+        A = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        Q = normalize(HPolyhedron(A, [0.0, -1.0], AffineSpace.full_space(2)))
+        for _ in range(2):
+            with pytest.raises(EmptyPolyhedron):
+                cut_depth(Q, Cut([1.0, 0.0], 1.0))
+        assert Q.chebyshev.status == lp.LpStatus.INFEASIBLE
+
+    def test_touching_and_vacuous_cuts_at_every_scale(self):
+        # a rotated, shifted box, so that the touching cuts meet it at a
+        # vertex and along a facet away from the origin
+        angle = 0.3
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        A = np.vstack([-np.eye(2), np.eye(2)]) @ rotation.T
+        shift = np.array([2.0, -1.0])
+        low, high = np.zeros(2), np.array([1.0, 3.0])
+        b = np.concatenate([-low, high]) + A @ shift
+        corner = rotation @ low + shift
+        facet = rotation[:, 0]  # normal of the facet through the corner
+        diagonal = rotation @ np.ones(2)
+        for t in 10.0 ** np.arange(-8, 9):
+            body = normalize(HPolyhedron(A, t * b, AffineSpace.full_space(2)))
+            touching = [
+                Cut(facet, t * float(facet @ corner)),
+                Cut(diagonal, t * float(diagonal @ corner)),
+            ]
+            vacuous = [Cut(facet, t * (float(facet @ corner) - 1e-3))]
+            for cut in touching:
+                result = cut_depth(body, cut)
+                assert _is_warm(result)
+                assert result.kind == DepthKind.FINITE, (t, cut)
+                assert result.value <= 1e-9 * t
+            for cut in vacuous:
+                result = cut_depth(body, cut)
+                assert _is_warm(result)
+                assert result.kind == DepthKind.NOT_VIOLATED, (t, cut)
+
+    def test_cone_takes_the_cold_path(self):
+        body = normalize(depth_lower_bound_cone(6, 1e-4).polyhedron)
+        assert body.chebyshev.status == lp.LpStatus.UNBOUNDED
+        result = cut_depth(body, Cut(-np.eye(6)[0], 0.0))
+        assert result.kind == DepthKind.FINITE
+        assert result.stats.dual_pivots == 0 and result.stats.phase2_pivots > 0
+        assert result.value == pytest.approx(math.sqrt(3.0 + 6) / 2.0, abs=1e-3)
 
 
 class TestClosedFormVsShrinkLp:

@@ -3,7 +3,6 @@ import pytest
 
 from cutdepth import lp
 from cutdepth.constructions import depth_lower_bound_cone
-from cutdepth.depth import _depth_program
 from cutdepth.errors import IterationLimit
 from cutdepth.lp import (
     EQUAL,
@@ -16,7 +15,7 @@ from cutdepth.lp import (
 )
 from cutdepth.polyhedron import AffineSpace, Cut, HPolyhedron, normalize
 
-from oracles import checked_solve, lp_optimum_by_vertex_enumeration
+from oracles import assert_outcome_invariants, checked_solve, lp_optimum_by_vertex_enumeration
 
 
 def make_lp(objective, A, relations, rhs, domains):
@@ -290,6 +289,117 @@ class TestRowScaledFeasibility:
         prog = make_lp([1.0], [[1.0], [1.0]], [GREATER_EQUAL, LESS_EQUAL], [1e-300, 0.0], [FREE])
         assert lp.solve(prog).status == LpStatus.INFEASIBLE
 
+def assert_duals_certify(program, outcome, rows=None):
+    """The duals are feasible for the dual of max c @ x (>= 0 on <= rows,
+    <= 0 on >= rows, A^T y >= c on nonnegative columns and = c on free ones)
+    and rhs @ duals equals the objective, all within 1e-9 relative."""
+    A, rhs = program.A, program.rhs
+    if rows is not None:
+        A, rhs = np.vstack([A, rows[0]]), np.append(rhs, rows[1])
+    relations = np.asarray(program.relations + (LESS_EQUAL,) * (A.shape[0] - program.num_rows))
+    y = outcome.duals
+    assert y.shape == (A.shape[0],)
+    scale = 1.0 + np.abs(y).max(initial=0.0)
+    assert (y[relations == LESS_EQUAL] >= -1e-9 * scale).all()
+    assert (y[relations == GREATER_EQUAL] <= 1e-9 * scale).all()
+    reduced = A.T @ y - program.objective
+    size = np.abs(A).T @ np.abs(y) + np.abs(program.objective) + 1.0
+    free = np.array([d == FREE for d in program.domains], dtype=bool)
+    assert (reduced[~free] >= -1e-9 * size[~free]).all()
+    assert (np.abs(reduced[free]) <= 1e-9 * size[free]).all()
+    gap = abs(float(rhs @ y) - outcome.objective)
+    assert gap <= 1e-9 * max(1.0, float(np.abs(rhs * y).sum()), abs(outcome.objective))
+
+
+class TestDuals:
+    def test_signs_of_negated_and_greater_equal_rows(self):
+        # max 2 x1 - x2 - x3 s.t. -x1 >= -3, x2 >= 1, x3 - x1 = -1, x3 free;
+        # the first and the last row are negated inside the solver
+        prog = make_lp(
+            [2.0, -1.0, -1.0],
+            [[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]],
+            [GREATER_EQUAL, GREATER_EQUAL, EQUAL],
+            [-3.0, 1.0, -1.0],
+            [NONNEGATIVE, NONNEGATIVE, FREE],
+        )
+        out = lp.solve(prog)
+        assert out.status == LpStatus.OPTIMAL
+        assert out.objective == pytest.approx(3.0, abs=1e-12)
+        np.testing.assert_allclose(out.duals, [-1.0, -1.0, -1.0], atol=1e-12)
+        assert_duals_certify(prog, out)
+
+    def test_dropped_row_gets_zero(self):
+        prog = make_lp(
+            [1.0, 1.0],
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
+            [EQUAL, EQUAL, LESS_EQUAL],
+            [2.0, 2.0, 1.5],
+            [NONNEGATIVE, NONNEGATIVE],
+        )
+        out = lp.solve(prog)
+        assert out.stats.dropped_rows == 1
+        assert_duals_certify(prog, out)
+
+    def test_vertex_oracle_programs(self):
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            prog = random_bounded_instance(rng)
+            out = lp.solve(prog)
+            if out.status == LpStatus.OPTIMAL:
+                assert_duals_certify(prog, out)
+
+
+class TestAddRow:
+    """add_row re-optimizes an optimum after one more <= row."""
+
+    def _extended(self, prog, row, rhs):
+        return make_lp(
+            prog.objective, np.vstack([prog.A, row]), prog.relations + (LESS_EQUAL,),
+            np.append(prog.rhs, rhs), prog.domains,
+        )
+
+    def test_matches_a_cold_solve_and_leaves_the_base(self):
+        rng = np.random.default_rng(21)
+        checked = infeasible = 0
+        while checked < 60:
+            prog = random_bounded_instance(rng)
+            base = lp.solve(prog)
+            if base.status != LpStatus.OPTIMAL:
+                continue
+            before = base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes()
+            row = rng.uniform(-1.0, 1.0, prog.num_cols)
+            # between cutting through the optimum and missing the body
+            rhs = float(row @ base.x) - float(rng.uniform(0.0, 3.0))
+            warm = lp.add_row(base, row, rhs)
+            cold = checked_solve(self._extended(prog, row, rhs))
+            assert warm.status == cold.status
+            assert before == (base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes())
+            assert warm.stats.phase1_pivots == warm.stats.phase2_pivots == 0
+            if cold.status == LpStatus.OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+                assert_outcome_invariants(self._extended(prog, row, rhs), warm)
+                assert_duals_certify(prog, warm, rows=(row, rhs))
+            else:
+                infeasible += 1
+            checked += 1
+        assert 0 < infeasible < checked
+
+    def test_a_slack_row_takes_no_pivot(self):
+        prog = make_lp([1.0, 1.0], np.eye(2), [LESS_EQUAL] * 2, [1.0, 2.0], [NONNEGATIVE] * 2)
+        base = lp.solve(prog)
+        out = lp.add_row(base, [1.0, 0.0], 5.0)
+        assert out.stats.dual_pivots == 0
+        assert out.objective == base.objective
+        np.testing.assert_allclose(out.duals, [1.0, 1.0, 0.0])
+
+    def test_a_binding_row_takes_dual_pivots(self):
+        prog = make_lp([1.0, 1.0], np.eye(2), [LESS_EQUAL] * 2, [1.0, 2.0], [NONNEGATIVE] * 2)
+        out = lp.add_row(lp.solve(prog), [1.0, 1.0], 2.0)
+        assert out.stats.dual_pivots >= 1
+        assert out.objective == pytest.approx(2.0, abs=1e-12)
+        assert lp.add_row(lp.solve(prog), [1.0, 1.0], -1.0).status == LpStatus.INFEASIBLE
+
+
 def _highs(program):
     """(status, objective) of the program by SciPy's HiGHS."""
     linprog = pytest.importorskip("scipy.optimize").linprog
@@ -334,7 +444,7 @@ def _dense_depth_programs(seed, rows, n, hull):
         Cut(a, -float(np.abs(a).sum()) - 1.0),
         Cut(rng.standard_normal(n), float(rng.uniform(-1.0, 1.0))),
     ]
-    return [_depth_program(body, cut) for cut in cuts]
+    return [body.depth_program(cut) for cut in cuts]
 
 
 def _unbounded_programs(seed, count):
@@ -366,6 +476,7 @@ class TestAgainstHighs:
                 assert out.status == expected
             if status == LpStatus.OPTIMAL:
                 assert out.objective == pytest.approx(value, rel=1e-7, abs=1e-7)
+                assert_duals_certify(program, out)
 
     @pytest.mark.parametrize("hull", [0, 3])
     def test_dense_depth_programs(self, hull):
@@ -380,7 +491,7 @@ class TestAgainstHighs:
             coeffs = rng.uniform(-0.2, 0.2, 8)
             coeffs[0] = -1.0
             cuts.append(Cut(coeffs, rng.uniform(-0.5, 0.0)))
-        self._agree([_depth_program(body, cut) for cut in cuts])
+        self._agree([body.depth_program(cut) for cut in cuts])
 
     def test_infeasible_programs(self):
         rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ from cutdepth.polyhedron import (
     AffineSpace,
     Cut,
     HPolyhedron,
+    NormalizedPolyhedron,
     StandardFormModel,
     from_standard_form,
     normalize,
@@ -124,6 +125,38 @@ class TestNormalize:
         norms = np.linalg.norm(Q.normals, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-10
         assert np.abs(space.A @ Q.normals.T).max() <= 1e-9
+
+
+class TestBodyArrays:
+    """A body takes over the read-only arrays the package builds for it and
+    copies everything else; either way its arrays are read-only and checked."""
+
+    def test_built_arrays_are_taken_over(self):
+        Q = normalize(unit_square())
+        R = NormalizedPolyhedron(Q.normals, Q.offsets, Q.space)
+        assert R.normals is Q.normals and R.offsets is Q.offsets
+        assert shrink(Q, 0.25).normals is Q.normals
+        assert not Q.normals.flags.writeable and not Q.offsets.flags.writeable
+
+    def test_caller_arrays_are_copied(self):
+        normals = np.array([[1.0, 0.0], [0.0, 1.0]])
+        R = NormalizedPolyhedron(normals, np.ones(2), AffineSpace.full_space(2))
+        normals[0, 0] = -1.0
+        assert R.normals[0, 0] == 1.0 and not R.normals.flags.writeable
+        view = normals[:, :]
+        view.setflags(write=False)
+        assert NormalizedPolyhedron(view, np.ones(2), AffineSpace.full_space(2)).normals is not view
+
+    def test_read_only_arrays_are_still_checked(self):
+        space = AffineSpace.full_space(2)
+        bad = np.array([[2.0, 0.0]])
+        bad.setflags(write=False)
+        with pytest.raises(ValueError, match="unit Euclidean norm"):
+            NormalizedPolyhedron(bad, np.ones(1), space)
+        nan = np.array([np.nan])
+        nan.setflags(write=False)
+        with pytest.raises(ValueError, match="non-finite"):
+            NormalizedPolyhedron(np.array([[1.0, 0.0]]), nan, space)
 
 
 class TestShrink:
