@@ -65,7 +65,7 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _print_table(rows: list[dict], columns: list[str]) -> None:
-    widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in columns}
+    widths = {c: max([len(c), *(len(str(r.get(c, ""))) for r in rows)]) for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)
     print(header)
     print("-" * len(header))

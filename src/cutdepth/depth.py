@@ -9,7 +9,7 @@ and the latter is a linear program over the shrunken bodies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -37,7 +37,8 @@ class DepthResult:
     removed point. Unbounded results surface a recession direction along
     which removed points of arbitrary depth exist. LP results carry the
     SolveStats of the solve that produced them; a cut re-optimized from the
-    body's cached optimum shows dual pivots only, no phase 1 or 2 pivots.
+    body's cached optimum shows dual pivots only, no phase 1 or 2 pivots,
+    and one read off the depth LP's dual has dualized set.
     """
 
     kind: DepthKind
@@ -106,7 +107,8 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     The depth LP is the body's cut-free program (poly.chebyshev, solved once
     per body) plus the cut row, so the cut is scored by re-optimizing that
     one row from the cached optimum. A body whose cut-free program is
-    unbounded has no such optimum; there the depth LP is solved from scratch.
+    unbounded has no such optimum; there the depth LP is solved from scratch,
+    on the dual side when it has more rows than columns (see _dual_side).
     """
     if cut.dim != poly.dim:
         raise ValueError(f"cut has dimension {cut.dim}, expected {poly.dim}")
@@ -116,8 +118,44 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     if base.status == lp.LpStatus.OPTIMAL:
         outcome = lp.add_row(base, np.append(cut.coeffs, 0.0), cut.rhs)
     else:
+        # the depth program has m + 1 + p rows on n + 1 columns
+        if poly.num_rows + poly.space.num_equalities > poly.dim:
+            result = _dual_side(poly, cut)
+            if result is not None:
+                return result
         outcome = lp.solve(poly.depth_program(cut))
     return _depth_result(outcome, poly.dim)
+
+
+def _dual_side(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
+    """The depth read off an optimum of poly.dual_depth_program(cut), whose
+    n + 1 rows make its tableau far smaller than the depth program's when
+    the body has many rows. The deepest point x and lam are minus its row
+    duals times the objective's scale. None unless the dual is optimal and
+    (x, lam) certifies: every body row, the cut row and the hull hold to
+    FEASIBILITY_TOL times their own scales, as in the solver's phase 1. The
+    depth program is then infeasible or unbounded, or too close to it for
+    the dual's answer to stand, and the caller solves it directly."""
+    program, scale = poly.dual_depth_program(cut)
+    outcome = lp.solve(program)
+    if outcome.status != lp.LpStatus.OPTIMAL:
+        return None
+    n = poly.dim
+    # 0.0 - v and max(0.0, v) turn a -0.0 dual into +0.0
+    x = 0.0 - scale * outcome.duals[:n]
+    lam = max(0.0, -scale * float(outcome.duals[n]))
+    tol = lp.FEASIBILITY_TOL
+    size = np.abs(x)
+    slack = poly.offsets - poly.normals @ x - lam
+    if (slack < -tol * np.maximum(np.abs(poly.offsets), np.abs(poly.normals) @ size + lam)).any():
+        return None
+    if cut.rhs - cut.coeffs @ x < -tol * max(abs(cut.rhs), float(np.abs(cut.coeffs) @ size)):
+        return None
+    space = poly.space
+    residual = np.abs(space.A @ x - space.b)
+    if (residual > tol * np.maximum(np.abs(space.b), np.abs(space.A) @ size)).any():
+        return None
+    return DepthResult.finite(lam, x, replace(outcome.stats, dualized=True))
 
 
 def _depth_result(outcome: lp.LpOutcome, n: int) -> DepthResult:

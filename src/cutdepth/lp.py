@@ -127,7 +127,9 @@ class LinearProgram:
 class SolveStats:
     """What the simplex did: pivots per phase, dual simplex pivots (add_row),
     degenerate pivots over all of them, whether Bland's rule took over, and
-    redundant rows dropped after phase 1."""
+    redundant rows dropped after phase 1. dualized is set by callers that
+    solved a program's LP dual in its place and read the answer off the
+    dual's duals."""
 
     phase1_pivots: int = 0
     phase2_pivots: int = 0
@@ -135,6 +137,7 @@ class SolveStats:
     bland: bool = False
     dropped_rows: int = 0
     dual_pivots: int = 0
+    dualized: bool = False
 
 
 @dataclass(frozen=True, eq=False)

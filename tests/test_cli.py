@@ -183,12 +183,27 @@ class TestDepthCommand:
         assert records[1]["value"] is None and records[1]["note"]
 
 
+    def test_no_cuts_prints_the_header(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**SQUARE, "cuts": []}))
+        assert main(["depth", "--in", str(path)]) == 0
+        header = "cut  kind  value  bounds  respected"
+        assert capsys.readouterr().out == f"{header}\n{'-' * len(header)}\n"
+
+
 class TestPointDepthCommand:
     def test_values(self, square_file, tmp_path):
         out = tmp_path / "points.json"
         assert main(["point-depth", "--in", square_file, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["point_records"][0]["depth"] == pytest.approx(0.25, abs=1e-12)
+
+    def test_no_points_prints_the_header(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**SQUARE, "points": []}))
+        assert main(["point-depth", "--in", str(path)]) == 0
+        header = "point  depth"
+        assert capsys.readouterr().out == f"{header}\n{'-' * len(header)}\n"
 
     def test_outside_point_is_input_error(self, tmp_path):
         path = tmp_path / "inst.json"

@@ -9,6 +9,7 @@ from cutdepth.constructions import depth_lower_bound_cone
 from cutdepth.corner import standard_form_model
 from cutdepth.depth import (
     DepthKind,
+    _depth_result,
     cut_depth,
     cut_depth_standard_form,
     point_depth,
@@ -23,6 +24,7 @@ from cutdepth.polyhedron import (
     AffineSpace,
     Cut,
     HPolyhedron,
+    NormalizedPolyhedron,
     StandardFormModel,
     from_standard_form,
     normalize,
@@ -291,6 +293,24 @@ class TestScaleInvariance:
                         expected = t * reference.value
                         assert result.value == pytest.approx(expected, rel=1e-9, abs=1e-12 * t)
 
+    def test_cone_kind_and_value_scale_with_the_body(self):
+        cone = depth_lower_bound_cone(6, 1e-4).polyhedron
+        body = normalize(cone)
+        cuts = _cone_cuts(np.random.default_rng(6), 6) + [
+            Cut(-body.normals[0], -body.offsets[0] - 1.0),  # not violated
+            Cut(np.eye(6)[0], 0.0),  # unbounded
+        ]
+        for cut in cuts:
+            reference = cut_depth(body, cut)
+            for t in 10.0 ** np.arange(-8, 9):
+                scaled = normalize(HPolyhedron(cone.A, t * cone.b, cone.space))
+                result = cut_depth(scaled, Cut(cut.coeffs, t * cut.rhs))
+                assert result.kind == reference.kind, (t, cut)
+                assert result.stats.dualized == reference.stats.dualized
+                if reference.kind == DepthKind.FINITE:
+                    expected = t * reference.value
+                    assert result.value == pytest.approx(expected, rel=1e-9, abs=1e-12 * t)
+
     def test_box_cut_that_removes_nothing(self):
         for h in (1e-8, 1.0, 1e8):
             Q = box([0.0, 0.0], [h, h])
@@ -422,8 +442,129 @@ class TestWarmStart:
         assert body.chebyshev.status == lp.LpStatus.UNBOUNDED
         result = cut_depth(body, Cut(-np.eye(6)[0], 0.0))
         assert result.kind == DepthKind.FINITE
-        assert result.stats.dual_pivots == 0 and result.stats.phase2_pivots > 0
+        # 32 rows on 6 columns: the cold solve runs on the dual side
+        assert result.stats.dual_pivots == 0 and result.stats.dualized
         assert result.value == pytest.approx(math.sqrt(3.0 + 6) / 2.0, abs=1e-3)
+
+
+def _cone_cuts(rng, n, tilts=4):
+    """The cone's valid cut -x_1 >= 0 and seeded tilts of it, all of finite
+    depth."""
+    cuts = [Cut(-np.eye(n)[0], 0.0)]
+    for _ in range(tilts):
+        coeffs = rng.uniform(-0.2, 0.2, n)
+        coeffs[0] = -1.0
+        cuts.append(Cut(coeffs, rng.uniform(-0.5, 0.0)))
+    return cuts
+
+
+def _lifted_cone(rng, n):
+    """The deep cone in R^n lifted onto a 2-row hull in R^(n+2): the first n
+    coordinates keep the cone's rows, the hull fixes the last two."""
+    cone = depth_lower_bound_cone(n, 1e-4).polyhedron
+    A = np.hstack([cone.A, np.zeros((cone.num_rows, 2))])
+    L = rng.standard_normal((2, n + 2))
+    return normalize(HPolyhedron(A, cone.b, AffineSpace(L, L @ rng.standard_normal(n + 2))))
+
+
+def _primal(body, cut):
+    """The depth LP solved as written, as cut_depth's fallback solves it."""
+    outcome = lp.solve(body.depth_program(cut))
+    return _depth_result(outcome, body.dim)
+
+
+class TestDualSide:
+    """A body without a cached optimum (a cone) whose depth program has more
+    rows than columns is scored on the (n + 1)-row dual; the result matches
+    the depth program solved as written."""
+
+    def _agree(self, body, cuts):
+        for cut in cuts:
+            result = cut_depth(body, cut)
+            reference = _primal(body, cut)
+            assert result.stats.dualized and result.stats.dual_pivots == 0
+            assert result.kind == reference.kind == DepthKind.FINITE
+            assert result.value == pytest.approx(reference.value, rel=1e-9, abs=1e-12)
+            assert point_depth(body, result.point) >= result.value - 1e-9
+            assert cut.coeffs @ result.point <= cut.rhs + 1e-9
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_cone_matches_the_primal(self, n):
+        body = normalize(depth_lower_bound_cone(n, 1e-4).polyhedron)
+        self._agree(body, _cone_cuts(np.random.default_rng(n), n))
+
+    def test_cone_on_a_hull_matches_the_primal(self):
+        rng = np.random.default_rng(8)
+        body = _lifted_cone(rng, 5)
+        assert body.chebyshev.status == lp.LpStatus.UNBOUNDED
+        cuts = [Cut(np.append(cut.coeffs, [0.0, 0.0]), cut.rhs) for cut in _cone_cuts(rng, 5)]
+        self._agree(body, cuts)
+
+    def test_random_cones_at_every_scale(self):
+        # pointed cones around a recession direction d, with cuts whose
+        # normals lie inside the dual cone, so every depth is finite; these
+        # need phase 2 pivots, which see the dual objective's scale
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            A = rng.standard_normal((30, 5))
+            d = rng.standard_normal(5)
+            inward = np.abs(rng.standard_normal(30)) * np.linalg.norm(A, axis=1)
+            A -= np.outer(A @ d + inward, d) / (d @ d)
+            apex = rng.uniform(-2.0, 2.0, 5)
+            c = -(A / np.linalg.norm(A, axis=1)[:, None]).sum(axis=0)
+            body = normalize(HPolyhedron(A, A @ apex, AffineSpace.full_space(5)))
+            for _ in range(4):
+                coeffs = c + 0.3 * np.linalg.norm(c) * rng.standard_normal(5) / np.sqrt(5)
+                depth = rng.uniform(0.1, 2.0) * np.linalg.norm(coeffs)
+                cut = Cut(coeffs, float(coeffs @ apex) + depth)
+                reference = cut_depth(body, cut)
+                assert reference.stats.dualized and reference.stats.phase2_pivots > 0
+                for t in 10.0 ** np.arange(-8, 9):
+                    scaled = normalize(HPolyhedron(A, t * (A @ apex), AffineSpace.full_space(5)))
+                    result = cut_depth(scaled, Cut(coeffs, t * cut.rhs))
+                    assert result.stats.dualized, (seed, t)
+                    assert result.value == pytest.approx(t * reference.value, rel=1e-9)
+
+    def test_not_violated_and_unbounded_cuts_take_the_primal(self):
+        cone = depth_lower_bound_cone(6, 1e-4).polyhedron
+        body = normalize(cone)
+        # the body lies strictly inside its first facet, and the cone holds
+        # points with x_1 <= 0 at any depth
+        vacuous = Cut(-body.normals[0], -body.offsets[0] - 1.0)
+        deep = Cut(np.eye(6)[0], 0.0)
+        result = cut_depth(body, vacuous)
+        assert result.kind == DepthKind.NOT_VIOLATED
+        assert not result.stats.dualized
+        result = cut_depth(body, deep)
+        reference = _primal(body, deep)
+        assert result.kind == reference.kind == DepthKind.UNBOUNDED
+        assert not result.stats.dualized
+        assert result.ray.tobytes() == reference.ray.tobytes()
+        assert (body.normals @ result.ray <= 1e-9).all() and deep.coeffs @ result.ray < 0.0
+
+    def test_square_program_stays_primal(self):
+        # n = 2: two body rows and the cut on three columns (x, lam)
+        body = normalize(depth_lower_bound_cone(2, 1e-4).polyhedron)
+        cut = Cut([-1.0, 0.0], 0.0)
+        result = cut_depth(body, cut)
+        assert not result.stats.dualized
+        assert result.value == _primal(body, cut).value
+
+    def test_uncertified_answer_falls_back(self, monkeypatch):
+        body = normalize(depth_lower_bound_cone(5, 1e-4).polyhedron)
+        cut = Cut(-np.eye(5)[0], 0.0)
+        honest = NormalizedPolyhedron.dual_depth_program
+
+        def misscaled(poly, cut):
+            program, scale = honest(poly, cut)
+            return program, 2.0 * scale
+
+        monkeypatch.setattr(NormalizedPolyhedron, "dual_depth_program", misscaled)
+        result = cut_depth(body, cut)
+        reference = _primal(body, cut)
+        assert not result.stats.dualized
+        assert result.value == reference.value
+        assert result.point.tobytes() == reference.point.tobytes()
 
 
 class TestClosedFormVsShrinkLp:

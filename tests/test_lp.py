@@ -493,6 +493,29 @@ class TestAgainstHighs:
             cuts.append(Cut(coeffs, rng.uniform(-0.5, 0.0)))
         self._agree([body.depth_program(cut) for cut in cuts])
 
+    def test_dual_of_deep_cone(self):
+        # the dual depth programs cut_depth solves on cones: optimal for
+        # finite cuts, infeasible for an unbounded cut and unbounded for a
+        # cut that removes nothing; the second body carries a 2-row hull
+        rng = np.random.default_rng(9)
+        cone = depth_lower_bound_cone(8, 1e-4).polyhedron
+        lifted = np.hstack([cone.A, np.zeros((cone.num_rows, 2))])
+        L = rng.standard_normal((2, 10))
+        hull = AffineSpace(L, L @ rng.standard_normal(10))
+        for body in (normalize(cone), normalize(HPolyhedron(lifted, cone.b, hull))):
+            n = body.dim
+            cuts = [Cut(-np.eye(n)[0], 0.0), Cut(np.eye(n)[0], 0.0)]
+            cuts.append(Cut(-body.normals[0], -body.offsets[0] - 1.0))
+            for _ in range(3):
+                coeffs = np.zeros(n)
+                coeffs[:8] = rng.uniform(-0.2, 0.2, 8)
+                coeffs[0] = -1.0
+                cuts.append(Cut(coeffs, rng.uniform(-0.5, 0.0)))
+            programs = [body.dual_depth_program(cut)[0] for cut in cuts]
+            statuses = [checked_solve(program).status for program in programs]
+            assert statuses[:3] == [LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED]
+            self._agree(programs)
+
     def test_infeasible_programs(self):
         rng = np.random.default_rng(11)
         programs = []
