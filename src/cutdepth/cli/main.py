@@ -116,15 +116,26 @@ def _cut_bounds(inst: Instance, cut: Cut) -> dict:
 
 
 def _embed_corner_cut(inst: Instance, cut: Cut) -> Cut:
-    m = inst.polyhedron.num_basic
+    """The cut over all the instance's variables: a corner cut given on the
+    nonbasic ones gets zero coefficients on the basic ones."""
     if cut.coeffs.shape[0] == inst.dim:
         return cut
-    return Cut(np.concatenate([np.zeros(m), cut.coeffs]), cut.rhs)
+    return Cut(np.concatenate([np.zeros(inst.polyhedron.num_basic), cut.coeffs]), cut.rhs)
+
+
+def _lp_body(inst: Instance):
+    """What the LP method scores an instance's cuts against: the normalized
+    inequality polyhedron or the standard-form model, whose cut-free LP is
+    solved once and shared by every cut."""
+    if inst.kind == INEQUALITY:
+        return normalize(inst.polyhedron)
+    if inst.kind == STANDARD:
+        return inst.polyhedron
+    return standard_form_model(inst.polyhedron)
 
 
 def _solve_cut(inst: Instance, body, cut: Cut, method: str):
-    """Depth of one cut; body is the normalized inequality instance, shared
-    by every cut so that its cut-free LP is solved once."""
+    """Depth of one cut; body is _lp_body(inst), built once per instance."""
     if method == "closed-form":
         if inst.kind != CORNER:
             raise InstanceError(
@@ -133,10 +144,7 @@ def _solve_cut(inst: Instance, body, cut: Cut, method: str):
         return corner_cut_depth(build_corner(inst.polyhedron), cut)
     if inst.kind == INEQUALITY:
         return cut_depth(body, cut)
-    if inst.kind == STANDARD:
-        return cut_depth_standard_form(inst.polyhedron, cut)
-    model = standard_form_model(inst.polyhedron)
-    return cut_depth_standard_form(model, _embed_corner_cut(inst, cut))
+    return cut_depth_standard_form(body, _embed_corner_cut(inst, cut))
 
 
 def cmd_depth(args) -> int:
@@ -145,9 +153,7 @@ def cmd_depth(args) -> int:
     if method == "auto":
         method = "closed-form" if inst.kind == CORNER else "lp"
     primary = "lp" if method == "both" else method
-    body = None
-    if inst.kind == INEQUALITY and primary == "lp" and inst.cuts:
-        body = normalize(inst.polyhedron)
+    body = _lp_body(inst) if primary == "lp" and inst.cuts else None
     records = []
     disagreements = 0
     for index, cut in enumerate(inst.cuts):

@@ -110,32 +110,56 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     unbounded has no such optimum; there the depth LP is solved from scratch,
     on the dual side when it has more rows than columns (see _dual_side).
     """
-    if cut.dim != poly.dim:
-        raise ValueError(f"cut has dimension {cut.dim}, expected {poly.dim}")
-    base = poly.chebyshev
+    return _depth(poly, cut, _dual_side)
+
+
+def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:
+    """Depth of a cut over { x : A x = b, lower <= x <= upper }, scored as
+    cut_depth scores a body: from the model's cut-free program, solved once
+    per model (model.chebyshev), plus the cut row.
+
+    Agrees with cut_depth over from_standard_form(model); the formulation
+    here (model.depth_program) keeps the equality rows intact and attaches
+    the shrink variable to the bound rows only.
+    """
+    return _depth(model, cut)
+
+
+def _depth(
+    body: NormalizedPolyhedron | StandardFormModel, cut: Cut, cold_side=None
+) -> DepthResult:
+    """cut_depth over a NormalizedPolyhedron or a StandardFormModel. Where
+    body.chebyshev has no optimum, cold_side(body, cut) may answer before
+    body.depth_program(cut) is solved from scratch."""
+    if cut.dim != body.dim:
+        raise ValueError(f"cut has dimension {cut.dim}, expected {body.dim}")
+    base = body.chebyshev
     if base.status == lp.LpStatus.INFEASIBLE:
         raise EmptyPolyhedron("the polyhedron has no feasible point")
     if base.status == lp.LpStatus.OPTIMAL:
-        outcome = lp.add_row(base, np.append(cut.coeffs, 0.0), cut.rhs)
+        row = np.zeros(base.program.num_cols)
+        row[: body.dim] = cut.coeffs
+        outcome = lp.add_row(base, row, cut.rhs)
     else:
-        # the depth program has m + 1 + p rows on n + 1 columns
-        if poly.num_rows + poly.space.num_equalities > poly.dim:
-            result = _dual_side(poly, cut)
-            if result is not None:
-                return result
-        outcome = lp.solve(poly.depth_program(cut))
-    return _depth_result(outcome, poly.dim)
+        if cold_side is not None and (result := cold_side(body, cut)) is not None:
+            return result
+        outcome = lp.solve(body.depth_program(cut))
+    return _depth_result(outcome, body.dim)
 
 
 def _dual_side(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
     """The depth read off an optimum of poly.dual_depth_program(cut), whose
     n + 1 rows make its tableau far smaller than the depth program's when
     the body has many rows. The deepest point x and lam are minus its row
-    duals times the objective's scale. None unless the dual is optimal and
-    (x, lam) certifies: every body row, the cut row and the hull hold to
-    FEASIBILITY_TOL times their own scales, as in the solver's phase 1. The
-    depth program is then infeasible or unbounded, or too close to it for
-    the dual's answer to stand, and the caller solves it directly."""
+    duals times the objective's scale. None, for the caller to solve the
+    depth program directly, when that program (m + 1 + p rows on n + 1
+    columns) has no more rows than columns, and unless the dual is optimal
+    and (x, lam) certifies: every body row, the cut row and the hull hold to
+    FEASIBILITY_TOL times their own scales, as in the solver's phase 1.
+    Otherwise the depth program is infeasible or unbounded, or too close to
+    it for the dual's answer to stand."""
+    if poly.num_rows + poly.space.num_equalities <= poly.dim:
+        return None
     program, scale = poly.dual_depth_program(cut)
     outcome = lp.solve(program)
     if outcome.status != lp.LpStatus.OPTIMAL:
@@ -159,8 +183,9 @@ def _dual_side(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
 
 
 def _depth_result(outcome: lp.LpOutcome, n: int) -> DepthResult:
-    """The depth read off a depth LP over (x, lam, ...) whose polyhedron is
-    known to be nonempty."""
+    """The depth read off a depth LP over (x, lam, ...) whose body is known to
+    be nonempty, because its cut-free program is feasible: so an infeasible
+    depth LP means that the cut removes nothing."""
     if outcome.status == lp.LpStatus.INFEASIBLE:
         return DepthResult.not_violated(outcome.stats)
     if outcome.status == lp.LpStatus.UNBOUNDED:
@@ -168,61 +193,30 @@ def _depth_result(outcome: lp.LpOutcome, n: int) -> DepthResult:
     return DepthResult.finite(max(outcome.objective, 0.0), outcome.x[:n], outcome.stats)
 
 
-def _standard_form_program(
-    model: StandardFormModel, cut: Cut | None
-) -> lp.LinearProgram:
-    """The sparse-friendly depth LP over a standard-form model.
+def standard_form_program(model: StandardFormModel) -> lp.LinearProgram:
+    """The cut-free depth LP over a standard-form model, which
+    model.depth_program caches and appends a cut row to.
 
     Equality rows are kept untouched; every finite bound contributes one row
     x_j -/+ |gamma_j| lam -/+ slack = bound. Variables are
-    (x, lam, one slack per bound row); cut is None for plain feasibility.
+    (x, lam, one slack per bound row).
     """
     rows, _ = bound_rows(model)
-    n = model.dim
+    n, k = model.dim, len(rows)
     space = model.space
-    p = space.num_equalities
-    k = len(rows)
-    num_rows = k + p + (1 if cut is not None else 0)
-    num_cols = n + 1 + k
-    A = np.zeros((num_rows, num_cols))
-    rhs = np.zeros(num_rows)
-    relations: list[str] = []
-    for i, r in enumerate(rows):
-        A[i, r.var] = 1.0
-        sign = 1.0 if r.is_upper else -1.0
-        A[i, n] = sign * r.norm
-        A[i, n + 1 + i] = sign
-        rhs[i] = r.value
-        relations.append(lp.EQUAL)
-    if p:
-        A[k : k + p, :n] = space.A
-        rhs[k : k + p] = space.b
-    relations += [lp.EQUAL] * p
-    if cut is not None:
-        A[k + p, :n] = cut.coeffs
-        rhs[k + p] = cut.rhs
-        relations.append(lp.LESS_EQUAL)
-    objective = np.zeros(num_cols)
+    sign = np.array([1.0 if r.is_upper else -1.0 for r in rows])
+    at = np.arange(k)
+    A = np.zeros((k + space.num_equalities, n + 1 + k))
+    A[at, [r.var for r in rows]] = 1.0
+    A[at, n] = sign * [r.norm for r in rows]
+    A[at, n + 1 + at] = sign
+    A[k:, :n] = space.A
+    rhs = np.concatenate([[r.value for r in rows], space.b])
+    objective = np.zeros(n + 1 + k)
     objective[n] = 1.0
+    relations = (lp.EQUAL,) * rhs.shape[0]
     domains = (lp.FREE,) * n + (lp.NONNEGATIVE,) * (1 + k)
-    return lp.LinearProgram(frozen(objective), frozen(A), tuple(relations), frozen(rhs), domains)
-
-
-def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:
-    """Depth of a cut over { x : A x = b, lower <= x <= upper }.
-
-    Agrees with cut_depth over from_standard_form(model); the formulation
-    here keeps the equality rows intact and attaches the shrink variable to
-    the bound rows only.
-    """
-    if cut.dim != model.dim:
-        raise ValueError(f"cut has dimension {cut.dim}, expected {model.dim}")
-    outcome = lp.solve(_standard_form_program(model, cut))
-    if outcome.status == lp.LpStatus.INFEASIBLE:
-        feas = lp.solve(_standard_form_program(model, None))
-        if feas.status == lp.LpStatus.INFEASIBLE:
-            raise EmptyPolyhedron("the model has no feasible point")
-    return _depth_result(outcome, model.dim)
+    return lp.LinearProgram(frozen(objective), frozen(A), relations, frozen(rhs), domains)
 
 
 def volume_lower_bound(n: int, depth: float) -> float:

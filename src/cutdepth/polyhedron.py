@@ -282,6 +282,38 @@ class StandardFormModel:
     def dim(self) -> int:
         return self.space.dim
 
+    @cached_property
+    def _cut_free_program(self) -> lp.LinearProgram:
+        # depth.py builds it, so that the bound projection is a call to
+        # depth.bound_rows, the name benchmarks/tracer.py wraps; the import
+        # is deferred because depth imports this module
+        from .depth import standard_form_program
+
+        return standard_form_program(self)
+
+    def depth_program(self, cut: "Cut | None" = None) -> lp.LinearProgram:
+        """The depth LP over (x, lam, one slack per finite bound row), as
+        depth.standard_form_program builds it once per model, with the row
+        cut.coeffs @ x <= cut.rhs appended last when a cut is given."""
+        base = self._cut_free_program
+        if cut is None:
+            return base
+        row = np.zeros(base.num_cols)
+        row[: self.dim] = cut.coeffs
+        return lp.LinearProgram(
+            base.objective,
+            frozen(np.vstack([base.A, row])),
+            base.relations + (lp.LESS_EQUAL,),
+            frozen(np.append(base.rhs, cut.rhs)),
+            base.domains,
+        )
+
+    @cached_property
+    def chebyshev(self) -> lp.LpOutcome:
+        """The cut-free depth program, solved on first use; see
+        NormalizedPolyhedron.chebyshev."""
+        return lp.solve(self.depth_program())
+
 
 @dataclass(frozen=True, eq=False)
 class BoundRow:

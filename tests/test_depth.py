@@ -252,17 +252,23 @@ class TestCutDepthStandardForm:
             agreed += 1
 
 
+def _corner_models(seed, count):
+    """(model, [cut, ...]) for seeded random corners, whose cut-free LP is
+    unbounded and whose cuts cover every kind."""
+    rng = np.random.default_rng(seed)
+    for index in range(count):
+        corner = random_corner(rng, index)
+        m = corner.data.num_basic
+        cuts = [Cut(np.concatenate([np.zeros(m), c.coeffs]), c.rhs) for c, _ in corner.cuts]
+        yield standard_form_model(corner.data), cuts
+
+
 def _scale_instances():
     """(model, [cut, ...]) pairs: the unit box with a vacuous and a finite
     cut, plus seeded random corners whose cuts cover every kind."""
     unit_box = StandardFormModel(AffineSpace.full_space(2), [0.0, 0.0], [1.0, 1.0])
     yield unit_box, [Cut([1.0, 0.0], -1.0), Cut([1.0, 1.0], 1.5)]
-    rng = np.random.default_rng(3)
-    for index in range(10):
-        corner = random_corner(rng, index)
-        m = corner.data.num_basic
-        cuts = [Cut(np.concatenate([np.zeros(m), c.coeffs]), c.rhs) for c, _ in corner.cuts]
-        yield standard_form_model(corner.data), cuts
+    yield from _corner_models(3, 10)
 
 
 def _scaled(model, t):
@@ -565,6 +571,176 @@ class TestDualSide:
         assert not result.stats.dualized
         assert result.value == reference.value
         assert result.point.tobytes() == reference.point.tobytes()
+
+
+def _bounded_model(rng, n, equalities, pin=False):
+    """A seeded box model around an interior point x0, on `equalities`
+    random hull rows through x0; with pin, one more hull row fixes x_0 to
+    x0[0], so that x_0's bounds are implied and dropped."""
+    x0 = rng.uniform(-0.3, 0.3, n)
+    lower = x0 - rng.uniform(0.5, 1.5, n)
+    upper = x0 + rng.uniform(0.5, 1.5, n)
+    L = rng.standard_normal((equalities, n))
+    if pin:
+        L = np.vstack([L, np.eye(n)[0]])
+    return StandardFormModel(AffineSpace(L, L @ x0), lower, upper)
+
+
+def _box_cuts(rng, model, count=6):
+    """In turn, cuts that keep the model's cached centre but cut into the
+    box, so that the warm path pivots; cuts that remove the centre; and
+    cuts that miss the box."""
+    centre = model.chebyshev.x[: model.dim]
+    reach = np.maximum(np.abs(model.lower), np.abs(model.upper))
+    cuts = []
+    for i in range(count):
+        a = rng.standard_normal(model.dim)
+        step = 0.2 * float(np.linalg.norm(a))
+        rhs = [a @ centre - step, a @ centre + step, -(np.abs(a) @ reach) - 1.0][i % 3]
+        cuts.append(Cut(a, float(rhs)))
+    return cuts
+
+
+def _same_depth(result, reference):
+    assert result.kind == reference.kind
+    if reference.kind == DepthKind.FINITE:
+        assert result.value == pytest.approx(reference.value, rel=1e-9, abs=1e-12)
+
+
+class TestStandardFormWarmStart:
+    """A standard-form model solves its cut-free program once (model.chebyshev);
+    with an optimum there, each cut re-optimizes it by one added row, and
+    the result matches a cold solve of the same program."""
+
+    def _models(self):
+        rng = np.random.default_rng(29)
+        for n, equalities, pin in ((4, 0, False), (6, 2, False), (5, 1, True), (3, 0, True)):
+            model = _bounded_model(rng, n, equalities, pin)
+            yield model, _box_cuts(rng, model)
+
+    def test_warm_matches_cold_and_the_inequality_form(self):
+        kinds, pivoted = set(), 0
+        for model, cuts in self._models():
+            assert model.chebyshev.status == lp.LpStatus.OPTIMAL
+            rows = from_standard_form(model)
+            for cut in cuts:
+                result = cut_depth_standard_form(model, cut)
+                assert _is_warm(result)
+                _same_depth(result, _primal(model, cut))
+                _same_depth(result, cut_depth(rows, cut))
+                kinds.add(result.kind)
+                pivoted += result.stats.dual_pivots > 0
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED}
+        assert pivoted >= 4
+
+    def test_not_violated_cut_costs_one_solve(self, monkeypatch):
+        model, cuts = next(_corner_models(4, 1))
+        finite, vacuous = cuts[:2]
+        assert cut_depth_standard_form(model, finite).kind == DepthKind.FINITE
+        assert model.chebyshev.status == lp.LpStatus.UNBOUNDED
+        solves = []
+        solve = lp.solve
+
+        def counted(program):
+            solves.append(program)
+            return solve(program)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        assert cut_depth_standard_form(model, vacuous).kind == DepthKind.NOT_VIOLATED
+        assert len(solves) == 1
+
+    def test_empty_model_raises_on_every_call(self):
+        model = StandardFormModel(AffineSpace([[1.0, 1.0]], [5.0]), np.zeros(2), np.ones(2))
+        for _ in range(2):
+            with pytest.raises(EmptyPolyhedron):
+                cut_depth_standard_form(model, Cut([1.0, 0.0], 1.0))
+        assert model.chebyshev.status == lp.LpStatus.INFEASIBLE
+
+    def test_scoring_leaves_the_cache_unchanged(self):
+        rng = np.random.default_rng(12)
+        model = _bounded_model(rng, 8, 2)
+        A, B = _box_cuts(rng, model, 4)[::3]
+        first, _, again = (cut_depth_standard_form(model, cut) for cut in (A, B, A))
+        assert first.stats.dual_pivots > 0
+        assert again.value == first.value
+        assert again.point.tobytes() == first.point.tobytes()
+        assert again.stats == first.stats
+
+
+def _reordered(body, order):
+    """The body with its rows taken in the given order, repeats allowed."""
+    return NormalizedPolyhedron(body.normals[order], body.offsets[order], body.space)
+
+
+def _permuted(model, perm):
+    """The model with its variables reordered: x'_i = x_perm[i]."""
+    space = AffineSpace(model.space.A[:, perm], model.space.b)
+    return StandardFormModel(space, model.lower[perm], model.upper[perm])
+
+
+class TestOrderInvariance:
+    """Reordering and repeating a body's rows, or renaming a model's
+    variables along with the cut, describes the same depth problem: the
+    kind stays and a finite value moves by roundoff only, on the warm and
+    the cold paths."""
+
+    def _bodies(self, rng):
+        for hull in (0, 3):
+            body, _ = _dense_body(rng, 40, 8, hull)
+            centre = body.chebyshev.x[:8]
+            cuts = []
+            for a in rng.standard_normal((3, 8)):
+                step = 0.2 * float(np.linalg.norm(a))
+                cuts.append(Cut(a, float(a @ centre) - step))  # pivots
+                cuts.append(Cut(a, float(a @ centre) + step))  # removes the centre
+                cuts.append(Cut(a, -float(np.abs(a).sum()) - 1.0))  # misses the box
+            yield body, cuts
+        cone = normalize(depth_lower_bound_cone(6, 1e-4).polyhedron)
+        lifted = _lifted_cone(rng, 5)
+        lifted_cuts = [Cut(np.append(c.coeffs, [0.0, 0.0]), c.rhs) for c in _cone_cuts(rng, 5)]
+        for body, cuts in ((cone, _cone_cuts(rng, 6)), (lifted, lifted_cuts)):
+            vacuous = Cut(-body.normals[0], -body.offsets[0] - 1.0)
+            deep = Cut(np.eye(body.dim)[0], 0.0)
+            yield body, cuts + [vacuous, deep]
+
+    def test_inequality_rows_permuted_and_repeated(self):
+        rng = np.random.default_rng(41)
+        kinds = set()
+        for body, cuts in self._bodies(rng):
+            m = body.num_rows
+            perm = rng.permutation(m)
+            orders = [perm, np.concatenate([perm, perm[: m // 3]]), np.repeat(np.arange(m), 2)]
+            for cut in cuts:
+                reference = cut_depth(body, cut)
+                kinds.add((reference.kind, _is_warm(reference)))
+                for order in orders:
+                    _same_depth(cut_depth(_reordered(body, order), cut), reference)
+        assert kinds >= {
+            (DepthKind.FINITE, True), (DepthKind.NOT_VIOLATED, True),
+            (DepthKind.FINITE, False), (DepthKind.NOT_VIOLATED, False),
+            (DepthKind.UNBOUNDED, False),
+        }
+
+    def test_standard_form_variables_permuted_with_the_cut(self):
+        rng = np.random.default_rng(43)
+        instances = list(_corner_models(9, 10))
+        for equalities, pin in ((0, False), (2, False), (1, True)):
+            model = _bounded_model(rng, 6, equalities, pin)
+            instances.append((model, _box_cuts(rng, model)))
+        kinds = set()
+        for model, cuts in instances:
+            perms = [rng.permutation(model.dim) for _ in range(2)] + [np.arange(model.dim)[::-1]]
+            for cut in cuts:
+                reference = cut_depth_standard_form(model, cut)
+                kinds.add((reference.kind, _is_warm(reference)))
+                for perm in perms:
+                    renamed = Cut(cut.coeffs[perm], cut.rhs)
+                    _same_depth(cut_depth_standard_form(_permuted(model, perm), renamed), reference)
+        assert kinds == {
+            (DepthKind.FINITE, True), (DepthKind.NOT_VIOLATED, True),
+            (DepthKind.FINITE, False), (DepthKind.NOT_VIOLATED, False),
+            (DepthKind.UNBOUNDED, False),
+        }
 
 
 class TestClosedFormVsShrinkLp:
