@@ -37,7 +37,7 @@ class Disjunction:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", as_vector(self.coeffs, "coeffs"))
         object.__setattr__(self, "threshold", int(self.threshold))
-        if np.abs(self.coeffs - np.round(self.coeffs)).max() > 0:
+        if np.abs(self.coeffs - np.round(self.coeffs)).max(initial=0.0) > 0:
             raise ValueError("disjunction coefficients must be integers")
         if not np.any(self.coeffs != 0.0):
             raise ValueError("disjunction coefficients must not all be zero")

@@ -8,8 +8,11 @@ Instances are JSON objects with exactly one polyhedron form:
   corner:      {"f": [...], "R": [[...]]}
 
 plus optional "cuts" [{"alpha", "beta"}], "points" [[...]] and
-"disjunctions" [{"pi", "pi0"}]. Reports are plain JSON written with stable
-key order so equal runs produce identical bytes.
+"disjunctions" [{"pi", "pi0"}]. Cuts and points live in the space of all the
+instance's variables, (x, s) for a corner; a corner cut given on s alone is
+lifted at parse time with zero coefficients on the basic variables, so every
+parsed cut has `Instance.dim` coefficients. Reports are plain JSON written
+with stable key order so equal runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..bounds import Disjunction
-from ..corner import CornerData
+from ..corner import CornerData, embed_cut_coeffs
 from ..errors import CutDepthError, InstanceError
 from ..polyhedron import AffineSpace, Cut, HPolyhedron, StandardFormModel
 
@@ -102,10 +105,11 @@ def _hull(poly: dict, n: int) -> AffineSpace:
         raise InstanceError(
             f"polyhedron.xi has length {xi.shape[0]}, expected {L.shape[0]} rows of L"
         )
-    return _wrap("polyhedron.L", AffineSpace, L, xi)
+    return wrap("polyhedron.L", AffineSpace, L, xi)
 
 
-def _wrap(where: str, factory, *args):
+def wrap(where: str, factory, *args):
+    """factory(*args), with a rejected argument reported against where."""
     try:
         return factory(*args)
     except (CutDepthError, ValueError) as exc:
@@ -140,7 +144,7 @@ def _parse_polyhedron(poly) -> tuple[str, object]:
                 f"polyhedron.b has length {b.shape[0]}, expected {A.shape[0]} rows of A"
             )
         space = _hull(poly, A.shape[1])
-        return form, _wrap("polyhedron", HPolyhedron, A, b, space)
+        return form, wrap("polyhedron", HPolyhedron, A, b, space)
     if form == STANDARD:
         for key in ("lower", "upper"):
             if key not in poly:
@@ -153,7 +157,7 @@ def _parse_polyhedron(poly) -> tuple[str, object]:
                 f"expected {lower.shape[0]} to match polyhedron.lower"
             )
         space = _hull(poly, lower.shape[0])
-        return form, _wrap("polyhedron", StandardFormModel, space, lower, upper)
+        return form, wrap("polyhedron", StandardFormModel, space, lower, upper)
     for key in ("f", "R"):
         if key not in poly:
             raise InstanceError(f"polyhedron.{key}: missing")
@@ -163,7 +167,15 @@ def _parse_polyhedron(poly) -> tuple[str, object]:
         raise InstanceError(
             f"polyhedron.R has {R.shape[0]} rows, expected {f.shape[0]} to match polyhedron.f"
         )
-    return form, _wrap("polyhedron", CornerData, f, R)
+    return form, wrap("polyhedron", CornerData, f, R)
+
+
+def _entries(data: dict, key: str):
+    """Enumerate the optional list data[key]."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise InstanceError(f"{key}: expected a list")
+    return enumerate(entries)
 
 
 def parse_instance(data) -> Instance:
@@ -175,34 +187,30 @@ def parse_instance(data) -> Instance:
     inst = Instance(kind, poly, raw=data)
 
     n = inst.dim
-    cut_dims = {n}
-    point_dims = {n}
-    if kind == CORNER:
-        cut_dims.add(poly.num_nonbasic)
-
-    for i, entry in enumerate(data.get("cuts", [])):
+    for i, entry in _entries(data, "cuts"):
         where = f"cuts[{i}]"
         if not isinstance(entry, dict) or "alpha" not in entry or "beta" not in entry:
             raise InstanceError(f"{where}: expected an object with alpha and beta")
         alpha = _vector(entry["alpha"], f"{where}.alpha")
-        if alpha.shape[0] not in cut_dims:
+        if kind == CORNER:
+            alpha = wrap(f"{where}.alpha", embed_cut_coeffs, poly, alpha)
+        elif alpha.shape[0] != n:
             raise InstanceError(
-                f"{where}.alpha has length {alpha.shape[0]}, expected "
-                + " or ".join(str(d) for d in sorted(cut_dims))
+                f"{where}.alpha has length {alpha.shape[0]}, expected {n}"
             )
         beta = _number(entry["beta"], f"{where}.beta")
-        inst.cuts.append(_wrap(where, Cut, alpha, beta))
+        inst.cuts.append(wrap(where, Cut, alpha, beta))
 
-    for i, entry in enumerate(data.get("points", [])):
+    for i, entry in _entries(data, "points"):
         where = f"points[{i}]"
         point = _vector(entry, where)
-        if point.shape[0] not in point_dims:
+        if point.shape[0] != n:
             raise InstanceError(
                 f"{where} has length {point.shape[0]}, expected {n}"
             )
         inst.points.append(point)
 
-    for i, entry in enumerate(data.get("disjunctions", [])):
+    for i, entry in _entries(data, "disjunctions"):
         where = f"disjunctions[{i}]"
         if not isinstance(entry, dict) or "pi" not in entry or "pi0" not in entry:
             raise InstanceError(f"{where}: expected an object with pi and pi0")
@@ -214,7 +222,7 @@ def parse_instance(data) -> Instance:
         pi0 = entry["pi0"]
         if isinstance(pi0, bool) or not isinstance(pi0, int):
             raise InstanceError(f"{where}.pi0: expected an integer, got {pi0!r}")
-        inst.disjunctions.append(_wrap(where, Disjunction, pi, pi0))
+        inst.disjunctions.append(wrap(where, Disjunction, pi, pi0))
 
     return inst
 

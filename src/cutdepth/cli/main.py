@@ -28,11 +28,13 @@ from ..constructions import depth_lower_bound_cone
 from ..corner import build_corner, corner_cut_depth, standard_form_model
 from ..depth import DepthKind, cut_depth, cut_depth_standard_form, point_depth
 from ..errors import CutDepthError, InstanceError
-from ..polyhedron import Cut, from_standard_form, normalize
+from ..polyhedron import AffineSpace, Cut, StandardFormModel, from_standard_form, normalize
 from . import files, suites
-from .files import CORNER, INEQUALITY, STANDARD, Instance
+from .files import CORNER, INEQUALITY, Instance
 
 BOUND_TOL = 1e-7
+# the verify options, passed to the suite by name
+SUITE_OPTIONS = ("n_max", "epsilon", "count", "seed", "tol")
 
 
 def _sanitize(obj):
@@ -64,7 +66,11 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write("\n")
 
 
-def _print_table(rows: list[dict], columns: list[str]) -> None:
+def _report(payload: dict, out: str | None, rows: list[dict], columns: list[str]) -> None:
+    """Write payload as a JSON report to out, or else print rows as a table."""
+    if out:
+        _emit(payload, out)
+        return
     widths = {c: max([len(c), *(len(str(r.get(c, ""))) for r in rows)]) for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)
     print(header)
@@ -86,11 +92,9 @@ def _intersection_bound(data, cut: Cut) -> tuple[float | None, str]:
     """The intersection-cut bound of a cut over a corner, or None and the
     reason the cut is not eligible."""
     m = data.num_basic
-    coeffs = cut.coeffs
-    if coeffs.shape[0] == m + data.num_nonbasic:
-        if np.abs(coeffs[:m]).max(initial=0.0) > 0:
-            return None, "cut has coefficients on the basic variables"
-        coeffs = coeffs[m:]
+    if np.abs(cut.coeffs[:m]).max(initial=0.0) > 0:
+        return None, "cut has coefficients on the basic variables"
+    coeffs = cut.coeffs[m:]
     if cut.rhs <= 0:
         return None, "cut right-hand side is not positive"
     if coeffs.min() < 0:
@@ -102,49 +106,37 @@ def _intersection_bound(data, cut: Cut) -> tuple[float | None, str]:
 
 
 def _cut_bounds(inst: Instance, cut: Cut) -> dict:
-    out = {}
-    if inst.kind in (INEQUALITY, STANDARD):
-        space = inst.polyhedron.space
-        n = space.dim
-        if space.num_equalities == 0 and n >= 2:
-            out["integer-hull"] = integer_hull_depth_bound(n)
-    else:
+    if inst.kind == CORNER:
         value, _ = _intersection_bound(inst.polyhedron, cut)
-        if value is not None:
-            out["intersection"] = value
-    return out
+        return {} if value is None else {"intersection": value}
+    space = inst.polyhedron.space
+    if space.num_equalities == 0 and space.dim >= 2:
+        return {"integer-hull": integer_hull_depth_bound(space.dim)}
+    return {}
 
 
-def _embed_corner_cut(inst: Instance, cut: Cut) -> Cut:
-    """The cut over all the instance's variables: a corner cut given on the
-    nonbasic ones gets zero coefficients on the basic ones."""
-    if cut.coeffs.shape[0] == inst.dim:
-        return cut
-    return Cut(np.concatenate([np.zeros(inst.polyhedron.num_basic), cut.coeffs]), cut.rhs)
-
-
-def _lp_body(inst: Instance):
-    """What the LP method scores an instance's cuts against: the normalized
-    inequality polyhedron or the standard-form model, whose cut-free LP is
-    solved once and shared by every cut."""
+def _model(inst: Instance):
+    """The instance prepared once for the LP: the normalized inequality
+    polyhedron, or else the standard-form model (over (x, s) for a corner),
+    whose cut-free LP is solved once and shared by every cut."""
     if inst.kind == INEQUALITY:
         return normalize(inst.polyhedron)
-    if inst.kind == STANDARD:
-        return inst.polyhedron
-    return standard_form_model(inst.polyhedron)
+    if inst.kind == CORNER:
+        return standard_form_model(inst.polyhedron)
+    return inst.polyhedron
 
 
-def _solve_cut(inst: Instance, body, cut: Cut, method: str):
-    """Depth of one cut; body is _lp_body(inst), built once per instance."""
-    if method == "closed-form":
-        if inst.kind != CORNER:
-            raise InstanceError(
-                "closed-form depth requires a corner instance; use --method lp"
-            )
-        return corner_cut_depth(build_corner(inst.polyhedron), cut)
-    if inst.kind == INEQUALITY:
-        return cut_depth(body, cut)
-    return cut_depth_standard_form(body, _embed_corner_cut(inst, cut))
+def _solve_cut(inst: Instance, model, cut: Cut, method: str):
+    """Depth of one cut; model is _model(inst), built once per instance."""
+    if method == "lp":
+        if isinstance(model, StandardFormModel):
+            return cut_depth_standard_form(model, cut)
+        return cut_depth(model, cut)
+    if inst.kind != CORNER:
+        raise InstanceError(
+            "closed-form depth requires a corner instance; use --method lp"
+        )
+    return corner_cut_depth(build_corner(inst.polyhedron), cut)
 
 
 def cmd_depth(args) -> int:
@@ -153,11 +145,11 @@ def cmd_depth(args) -> int:
     if method == "auto":
         method = "closed-form" if inst.kind == CORNER else "lp"
     primary = "lp" if method == "both" else method
-    body = _lp_body(inst) if primary == "lp" and inst.cuts else None
+    model = _model(inst) if primary == "lp" and inst.cuts else None
     records = []
     disagreements = 0
     for index, cut in enumerate(inst.cuts):
-        result = _solve_cut(inst, body, cut, primary)
+        result = _solve_cut(inst, model, cut, primary)
         record = {"index": index, **_depth_result_dict(result)}
         bounds = _cut_bounds(inst, cut)
         record["bounds"] = bounds
@@ -168,7 +160,7 @@ def cmd_depth(args) -> int:
         else:
             record["bound_respected"] = None
         if method == "both":
-            other = _solve_cut(inst, body, cut, "closed-form")
+            other = _solve_cut(inst, model, cut, "closed-form")
             agrees = other.kind == result.kind and (
                 result.kind != DepthKind.FINITE
                 or abs(other.value - result.value) <= BOUND_TOL
@@ -183,34 +175,25 @@ def cmd_depth(args) -> int:
         "instance": inst.raw,
         "cut_records": records,
     }
-    if args.out:
-        _emit(payload, args.out)
-    else:
-        rows = [
-            {
-                "cut": r["index"],
-                "kind": r["kind"],
-                "value": "" if r["value"] is None else f"{r['value']:.9g}",
-                "bounds": ", ".join(f"{k}={v:.6g}" for k, v in r["bounds"].items()),
-                "respected": r["bound_respected"],
-            }
-            for r in records
-        ]
-        _print_table(rows, ["cut", "kind", "value", "bounds", "respected"])
+    rows = [
+        {
+            "cut": r["index"],
+            "kind": r["kind"],
+            "value": "" if r["value"] is None else f"{r['value']:.9g}",
+            "bounds": ", ".join(f"{k}={v:.6g}" for k, v in r["bounds"].items()),
+            "respected": r["bound_respected"],
+        }
+        for r in records
+    ]
+    _report(payload, args.out, rows, ["cut", "kind", "value", "bounds", "respected"])
     return 1 if disagreements else 0
-
-
-def _instance_body(inst: Instance):
-    if inst.kind == INEQUALITY:
-        return normalize(inst.polyhedron)
-    if inst.kind == STANDARD:
-        return from_standard_form(inst.polyhedron)
-    return from_standard_form(standard_form_model(inst.polyhedron))
 
 
 def cmd_point_depth(args) -> int:
     inst = files.load_instance(args.input)
-    body = _instance_body(inst)
+    body = _model(inst)
+    if isinstance(body, StandardFormModel):
+        body = from_standard_form(body)
     records = []
     for index, point in enumerate(inst.points):
         try:
@@ -223,42 +206,29 @@ def cmd_point_depth(args) -> int:
         "instance": inst.raw,
         "point_records": records,
     }
-    if args.out:
-        _emit(payload, args.out)
-    else:
-        rows = [
-            {"point": r["index"], "depth": f"{r['depth']:.9g}"} for r in records
-        ]
-        _print_table(rows, ["point", "depth"])
+    rows = [{"point": r["index"], "depth": f"{r['depth']:.9g}"} for r in records]
+    _report(payload, args.out, rows, ["point", "depth"])
     return 0
 
 
-def _instance_space(inst: Instance):
-    if inst.kind == INEQUALITY:
-        return inst.polyhedron.space
-    if inst.kind == STANDARD:
-        return inst.polyhedron.space
-    return standard_form_model(inst.polyhedron).space
-
-
-def _parse_int_list(text: str, where: str) -> list[int]:
+def _parse_list(text: str, where: str, parse=float) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [parse(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise InstanceError(f"{where}: expected comma-separated integers") from exc
+        expected = "integers" if parse is int else "numbers"
+        raise InstanceError(f"{where}: expected comma-separated {expected}") from exc
 
 
 def cmd_bound_split(args) -> int:
-    from ..polyhedron import AffineSpace
-
     records = []
     disjunctions: list[Disjunction] = []
     if args.pi is not None:
-        pi = _parse_int_list(args.pi, "--pi")
-        disjunctions.append(Disjunction(np.array(pi, dtype=float), args.pi0))
+        pi = np.array(_parse_list(args.pi, "--pi", int), dtype=float)
+        disjunctions.append(files.wrap("--pi", Disjunction, pi, args.pi0))
     if args.input:
         inst = files.load_instance(args.input)
-        space = _instance_space(inst)
+        poly = inst.polyhedron
+        space = standard_form_model(poly).space if inst.kind == CORNER else poly.space
         if args.pi is None:
             disjunctions.extend(inst.disjunctions)
     else:
@@ -283,18 +253,15 @@ def cmd_bound_split(args) -> int:
             }
         )
     payload = {"command": "bound split", "bound_records": records}
-    if args.out:
-        _emit(payload, args.out)
-    else:
-        rows = [
-            {
-                "disjunction": r["index"],
-                "kind": r["kind"],
-                "value": "" if r["value"] is None else f"{r['value']:.9g}",
-            }
-            for r in records
-        ]
-        _print_table(rows, ["disjunction", "kind", "value"])
+    rows = [
+        {
+            "disjunction": r["index"],
+            "kind": r["kind"],
+            "value": "" if r["value"] is None else f"{r['value']:.9g}",
+        }
+        for r in records
+    ]
+    _report(payload, args.out, rows, ["disjunction", "kind", "value"])
     return 0
 
 
@@ -312,18 +279,15 @@ def cmd_bound_intersection(args) -> int:
         "edge_lengths": list(steepest_edge_lengths(data.tableau)),
         "bound_records": records,
     }
-    if args.out:
-        _emit(payload, args.out)
-    else:
-        rows = [
-            {
-                "cut": r["index"],
-                "value": "" if r["value"] is None else f"{r['value']:.9g}",
-                "note": r["note"],
-            }
-            for r in records
-        ]
-        _print_table(rows, ["cut", "value", "note"])
+    rows = [
+        {
+            "cut": r["index"],
+            "value": "" if r["value"] is None else f"{r['value']:.9g}",
+            "note": r["note"],
+        }
+        for r in records
+    ]
+    _report(payload, args.out, rows, ["cut", "value", "note"])
     return 0
 
 
@@ -334,9 +298,9 @@ def cmd_bound_integer_hull(args) -> int:
         "weak_value": integer_hull_depth_bound_weak(args.n),
     }
     if args.basis:
-        rows = [
-            _parse_float_list(part, "--basis") for part in args.basis.split(";")
-        ]
+        rows = [_parse_list(part, "--basis") for part in args.basis.split(";")]
+        if len({len(row) for row in rows}) > 1:
+            raise InstanceError("--basis: rows must have equal lengths")
         record["lattice_value"] = lattice_integer_hull_bound(np.array(rows))
     payload = {"command": "bound integer-hull", "bound_records": [record]}
     if args.out:
@@ -349,28 +313,9 @@ def cmd_bound_integer_hull(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str, where: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise InstanceError(f"{where}: expected comma-separated numbers") from exc
-
-
 def cmd_verify(args) -> int:
-    if args.suite == "lemma-x":
-        records = suites.max_distance_suite(n_max=args.n_max, tol=args.tol)
-    elif args.suite == "cone":
-        records = suites.cone_suite(
-            n_max=args.n_max, epsilon=args.epsilon, tol=args.tol
-        )
-    elif args.suite == "corner-equivalence":
-        records = suites.corner_equivalence_suite(
-            count=args.count, seed=args.seed, tol=args.tol
-        )
-    else:
-        records = suites.split_dominance_suite(
-            count=args.count, seed=args.seed, tol=args.tol
-        )
+    options = {k: v for k, v in vars(args).items() if k in SUITE_OPTIONS}
+    records = suites.SUITES[args.suite](**options)
     failed = sum(not r.passed for r in records)
     for r in records:
         status = "PASS" if r.passed else "FAIL"
@@ -419,6 +364,17 @@ def cmd_generate(args) -> int:
         }
     _emit(payload, args.out)
     return 0
+
+
+def _epsilon(text: str) -> float:
+    """--epsilon: the deep cone's facet offset, in (0, 0.25)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 0.25:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 0.25), got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("lemma-x", "cone"):
             p.add_argument("--n-max", dest="n_max", type=int, default=10 if name == "lemma-x" else 6)
         if name == "cone":
-            p.add_argument("--epsilon", type=float, default=1e-4)
+            p.add_argument("--epsilon", type=_epsilon, default=1e-4)
         if name in ("corner-equivalence", "split-dominance"):
             p.add_argument(
                 "--count", type=int, default=200 if name == "corner-equivalence" else 50
@@ -495,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p_gen.add_subparsers(dest="kind", required=True)
     p_gen_cone = gen_sub.add_parser("cone", help="deep-cone instance")
     p_gen_cone.add_argument("--n", type=int, required=True)
-    p_gen_cone.add_argument("--epsilon", type=float, default=1e-4)
+    p_gen_cone.add_argument("--epsilon", type=_epsilon, default=1e-4)
     p_gen_cone.add_argument("--out", metavar="FILE")
     p_gen_cone.set_defaults(handler=cmd_generate, kind="cone")
     p_gen_corner = gen_sub.add_parser("corner", help="seeded random corner instance")
@@ -511,9 +467,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CutDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

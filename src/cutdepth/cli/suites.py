@@ -22,6 +22,7 @@ from ..corner import (
     CornerData,
     build_corner,
     corner_cut_depth,
+    embed_cut_coeffs,
     standard_form_model,
 )
 from ..depth import DepthKind, cut_depth, cut_depth_standard_form, point_depth
@@ -167,13 +168,12 @@ def corner_equivalence_suite(
         corner = random_corner(rng, index)
         cone = build_corner(corner.data)
         model = standard_form_model(corner.data)
-        m = corner.data.num_basic
         worst = 0.0
         kinds = []
         ok = True
         for cut, expected_kind in corner.cuts:
             closed = corner_cut_depth(cone, cut)
-            full = Cut(np.concatenate([np.zeros(m), cut.coeffs]), cut.rhs)
+            full = Cut(embed_cut_coeffs(cone, cut.coeffs), cut.rhs)
             via_lp = cut_depth_standard_form(model, full)
             kinds.append(closed.kind.value)
             if closed.kind != via_lp.kind or closed.kind.value != expected_kind:
@@ -206,55 +206,26 @@ def _box_membership_program(
     because boxes are bounded.
     """
     n = lo.shape[0]
-    A_box = np.vstack([np.eye(n), -np.eye(n)])
+    eye, zeros = np.eye(n), np.zeros((2 * n, n))
+    box = np.vstack([eye, -eye])
     b_box = np.concatenate([hi, -lo])
-    rows = []
-    rhs = []
-    rels = []
-    # y1 within t * box and t * lower side
-    for i in range(2 * n):
-        row = np.zeros(2 * n + 1)
-        row[:n] = A_box[i]
-        row[2 * n] = -b_box[i]
-        rows.append(row)
-        rhs.append(0.0)
-        rels.append(lp.LESS_EQUAL)
-    row = np.zeros(2 * n + 1)
-    row[:n] = d.coeffs
-    row[2 * n] = -d.threshold
-    rows.append(row)
-    rhs.append(0.0)
-    rels.append(lp.LESS_EQUAL)
-    # y2 within (1 - t) * box and (1 - t) * upper side
-    for i in range(2 * n):
-        row = np.zeros(2 * n + 1)
-        row[n : 2 * n] = A_box[i]
-        row[2 * n] = b_box[i]
-        rows.append(row)
-        rhs.append(b_box[i])
-        rels.append(lp.LESS_EQUAL)
-    row = np.zeros(2 * n + 1)
-    row[n : 2 * n] = -d.coeffs
-    row[2 * n] = -(d.threshold + 1)
-    rows.append(row)
-    rhs.append(-(d.threshold + 1))
-    rels.append(lp.LESS_EQUAL)
-    # y1 + y2 = x and 0 <= t <= 1
-    for i in range(n):
-        row = np.zeros(2 * n + 1)
-        row[i] = 1.0
-        row[n + i] = 1.0
-        rows.append(row)
-        rhs.append(float(x[i]))
-        rels.append(lp.EQUAL)
-    row = np.zeros(2 * n + 1)
-    row[2 * n] = 1.0
-    rows.append(row)
-    rhs.append(1.0)
-    rels.append(lp.LESS_EQUAL)
+    pi, high = d.coeffs[None, :], d.threshold + 1
+    y = np.block(
+        [
+            [box, zeros],  # y1 within t * box
+            [pi, zeros[:1]],  # and t * lower side
+            [zeros, box],  # y2 within (1 - t) * box
+            [zeros[:1], -pi],  # and (1 - t) * upper side
+            [eye, eye],  # y1 + y2 = x
+            [np.zeros((1, 2 * n))],  # t <= 1
+        ]
+    )
+    t = np.concatenate([-b_box, [-d.threshold], b_box, [-high], np.zeros(n), [1.0]])
+    rhs = np.concatenate([np.zeros(2 * n + 1), b_box, [-high], x, [1.0]])
+    relations = (lp.LESS_EQUAL,) * (4 * n + 2) + (lp.EQUAL,) * n + (lp.LESS_EQUAL,)
     domains = (lp.FREE,) * (2 * n) + (lp.NONNEGATIVE,)
     return lp.LinearProgram(
-        np.zeros(2 * n + 1), np.array(rows), tuple(rels), np.array(rhs), domains
+        np.zeros(2 * n + 1), np.column_stack([y, t]), relations, rhs, domains
     )
 
 

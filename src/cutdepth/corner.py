@@ -121,18 +121,16 @@ def build_corner(data: CornerData) -> CornerCone:
     return CornerCone(body, vertex, depth_direction, rays)
 
 
-def embed_cut_coeffs(cone: CornerCone, coeffs: np.ndarray) -> np.ndarray:
+def embed_cut_coeffs(corner: CornerData | CornerCone, coeffs: np.ndarray) -> np.ndarray:
     """Lift cut coefficients to (x, s) space; s-space cuts get zero
     coefficients on the basic variables."""
     coeffs = as_vector(coeffs, "coeffs")
-    if coeffs.shape[0] == cone.dim:
+    m, n = corner.num_basic, corner.num_nonbasic
+    if coeffs.shape[0] == m + n:
         return coeffs
-    if coeffs.shape[0] == cone.num_nonbasic:
-        return np.concatenate([np.zeros(cone.num_basic), coeffs])
-    raise ValueError(
-        f"cut has dimension {coeffs.shape[0]}, expected {cone.num_nonbasic} "
-        f"or {cone.dim}"
-    )
+    if coeffs.shape[0] == n:
+        return np.concatenate([np.zeros(m), coeffs])
+    raise ValueError(f"cut has dimension {coeffs.shape[0]}, expected {n} or {m + n}")
 
 
 def corner_cut_depth(cone: CornerCone, cut) -> DepthResult:

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from cutdepth import lp
+from cutdepth.bounds import Disjunction
 from cutdepth.cli.files import load_instance, parse_instance
 from cutdepth.cli.main import main
+from cutdepth.cli.suites import _box_membership_program
 from cutdepth.corner import build_corner, corner_cut_depth
 from cutdepth.depth import cut_depth
 from cutdepth.errors import InstanceError
@@ -191,6 +194,53 @@ class TestDepthCommand:
         assert capsys.readouterr().out == f"{header}\n{'-' * len(header)}\n"
 
 
+class TestCornerCutLift:
+    """A corner cut given on s and the same cut given on (x, s) with zero
+    basic coefficients are one cut."""
+
+    CORNER = {"f": [0.5, 1.25], "R": [[1.0, -1.0, 0.5], [0.25, 0.5, -1.0]]}
+    # finite with an intersection bound, unbounded, not violated
+    CUTS_ON_S = [
+        {"alpha": [2.0, 2.0, 1.0], "beta": 1.0},
+        {"alpha": [1.0, -1.0, 0.5], "beta": 1.0},
+        {"alpha": [1.0, 1.0, 1.0], "beta": -1.0},
+    ]
+
+    def _reports(self, tmp_path, cuts, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"polyhedron": self.CORNER, "cuts": cuts}))
+        depth_out = tmp_path / f"{name}-depth.json"
+        bound_out = tmp_path / f"{name}-bound.json"
+        argv = ["depth", "--in", str(path), "--method", "both", "--out", str(depth_out)]
+        assert main(argv) == 0
+        assert main(["bound", "intersection", "--in", str(path), "--out", str(bound_out)]) == 0
+        return (
+            json.loads(depth_out.read_text())["cut_records"],
+            json.loads(bound_out.read_text())["bound_records"],
+        )
+
+    def test_cuts_on_s_and_on_x_s_agree(self, tmp_path):
+        lifted = [{"alpha": [0.0, 0.0, *c["alpha"]], "beta": c["beta"]} for c in self.CUTS_ON_S]
+        on_s = parse_instance({"polyhedron": self.CORNER, "cuts": self.CUTS_ON_S})
+        on_xs = parse_instance({"polyhedron": self.CORNER, "cuts": lifted})
+        for a, b in zip(on_s.cuts, on_xs.cuts):
+            assert a.dim == on_s.dim
+            np.testing.assert_array_equal(a.coeffs, b.coeffs)
+        cut_records, bound_records = self._reports(tmp_path, self.CUTS_ON_S, "s")
+        assert [r["kind"] for r in cut_records] == ["finite", "unbounded", "not-violated"]
+        assert cut_records[0]["bounds"]["intersection"] > 0
+        assert (cut_records, bound_records) == self._reports(tmp_path, lifted, "xs")
+
+    def test_basic_coefficient_rules_out_the_intersection_bound(self, tmp_path):
+        cuts = [{"alpha": [0.5, 0.0, 2.0, 2.0, 1.0], "beta": 1.0}]
+        cut_records, bound_records = self._reports(tmp_path, cuts, "basic")
+        assert cut_records[0]["kind"] == "finite"
+        assert "intersection" not in cut_records[0]["bounds"]
+        assert cut_records[0]["bound_respected"] is None
+        assert bound_records[0]["value"] is None
+        assert bound_records[0]["note"] == "cut has coefficients on the basic variables"
+
+
 class TestPointDepthCommand:
     def test_values(self, square_file, tmp_path):
         out = tmp_path / "points.json"
@@ -288,6 +338,31 @@ class TestVerifyCommands:
         assert main(["verify", "cone", "--n-max", "2", "--tol", "-1"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_box_membership_program_rows(self):
+        # row-by-row reference over (y1, y2, t): y1 in t * (box, lower side),
+        # y2 in (1 - t) * (box, upper side), y1 + y2 = x, t <= 1
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            lo = rng.uniform(-3.0, 0.0, n)
+            hi = lo + rng.uniform(0.3, 2.5, n)
+            x = rng.uniform(lo, hi)
+            d = Disjunction(np.append(rng.integers(-3, 4, n - 1), 1), int(rng.integers(-3, 3)))
+            zero, eye = np.zeros(n), np.eye(n)
+            box = list(zip(np.vstack([eye, -eye]), np.concatenate([hi, -lo])))
+            rows = [[*a, *zero, -b] for a, b in box] + [[*d.coeffs, *zero, -d.threshold]]
+            rhs = [0.0] * (2 * n + 1)
+            rows += [[*zero, *a, b] for a, b in box] + [[*zero, *-d.coeffs, -(d.threshold + 1)]]
+            rhs += [b for _, b in box] + [-(d.threshold + 1)]
+            rows += [[*e, *e, 0.0] for e in eye] + [[*zero, *zero, 1.0]]
+            rhs += [*x, 1.0]
+            program = _box_membership_program(lo, hi, d, x)
+            np.testing.assert_array_equal(program.A, np.array(rows))
+            np.testing.assert_array_equal(program.rhs, np.array(rhs))
+            le, eq = lp.LESS_EQUAL, lp.EQUAL
+            assert program.relations == (le,) * (4 * n + 2) + (eq,) * n + (le,)
+            assert program.domains == (lp.FREE,) * (2 * n) + (lp.NONNEGATIVE,)
+
     def test_report_out(self, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify", "lemma-x", "--n-max", "3", "--out", str(out)]) == 0
@@ -325,3 +400,37 @@ class TestGenerateCommands:
         got = cut_depth(normalize(inst.polyhedron), inst.cuts[0])
         want = cut_depth(normalize(built.polyhedron), built.cut)
         assert got.value == want.value
+
+
+@pytest.mark.parametrize(
+    "argv, fields",
+    [
+        (["depth", "--in"], {"cuts": 5}),
+        (["depth", "--in"], {"cuts": None}),
+        (["point-depth", "--in"], {"points": 5}),
+        (["point-depth", "--in"], {"points": None}),
+        (["bound", "split", "--in"], {"disjunctions": 5}),
+        (["bound", "split", "--in"], {"disjunctions": None}),
+        (["bound", "split", "--pi", "0,0"], None),
+        (["bound", "split", "--pi", ""], None),
+        (["bound", "integer-hull", "--n", "2", "--basis", "1,0;0"], None),
+        (["generate", "cone", "--n", "3", "--epsilon", "0.3"], None),
+        (["verify", "cone", "--epsilon", "0.5"], None),
+    ],
+    ids=[
+        "cuts-int", "cuts-null", "points-int", "points-null", "disjunctions-int",
+        "disjunctions-null", "pi-zero", "pi-empty", "basis-ragged",
+        "generate-epsilon", "verify-epsilon",
+    ],
+)
+def test_malformed_input_exits_2(argv, fields, tmp_path):
+    # the instance is SQUARE with fields replaced, appended after --in
+    if fields is not None:
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**SQUARE, **fields}))
+        argv = [*argv, str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an option value
+        code = exc.code
+    assert code == 2
