@@ -39,6 +39,7 @@ from .depth import (
     DepthResult,
     cut_depth,
     cut_depth_standard_form,
+    from_standard_form,
     point_depth,
     volume_lower_bound,
 )
@@ -67,7 +68,6 @@ from .polyhedron import (
     HPolyhedron,
     NormalizedPolyhedron,
     StandardFormModel,
-    from_standard_form,
     normalize,
     project_onto_direction_space,
     shrink,

@@ -70,8 +70,11 @@ def _vector(obj, where: str, extended: bool = False) -> np.ndarray:
     if not isinstance(obj, list):
         raise InstanceError(f"{where}: expected a list of numbers")
     parser = _extended_number if extended else _number
+    # plain numbers pass as they are; only an entry that needs the parser
+    # gets its position named, so no string is built for a valid entry
     return np.array(
-        [parser(v, f"{where}[{i}]") for i, v in enumerate(obj)], dtype=float
+        [v if type(v) in (int, float) else parser(v, f"{where}[{i}]") for i, v in enumerate(obj)],
+        dtype=float,
     )
 
 

@@ -26,9 +26,9 @@ from ..bounds import (
 )
 from ..constructions import depth_lower_bound_cone
 from ..corner import build_corner, corner_cut_depth, standard_form_model
-from ..depth import DepthKind, cut_depth, cut_depth_standard_form, point_depth
+from ..depth import DepthKind, cut_depth, cut_depth_standard_form, from_standard_form, point_depth
 from ..errors import CutDepthError, InstanceError
-from ..polyhedron import AffineSpace, Cut, StandardFormModel, from_standard_form, normalize
+from ..polyhedron import AffineSpace, Cut, StandardFormModel, normalize
 from . import files, suites
 from .files import CORNER, INEQUALITY, Instance
 
@@ -132,10 +132,6 @@ def _solve_cut(inst: Instance, model, cut: Cut, method: str):
         if isinstance(model, StandardFormModel):
             return cut_depth_standard_form(model, cut)
         return cut_depth(model, cut)
-    if inst.kind != CORNER:
-        raise InstanceError(
-            "closed-form depth requires a corner instance; use --method lp"
-        )
     return corner_cut_depth(build_corner(inst.polyhedron), cut)
 
 
@@ -144,8 +140,11 @@ def cmd_depth(args) -> int:
     method = args.method
     if method == "auto":
         method = "closed-form" if inst.kind == CORNER else "lp"
+    if method != "lp" and inst.kind != CORNER:
+        raise InstanceError("closed-form depth requires a corner instance; use --method lp")
     primary = "lp" if method == "both" else method
-    model = _model(inst) if primary == "lp" and inst.cuts else None
+    # built even without cuts, so that a malformed body is reported either way
+    model = _model(inst) if primary == "lp" else None
     records = []
     disagreements = 0
     for index, cut in enumerate(inst.cuts):

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth import DepthResult
+from .depth import DepthResult, from_standard_form
 from .errors import Singular
 from .linalg import as_matrix, as_vector, solve_square
-from .polyhedron import (
-    AffineSpace,
-    NormalizedPolyhedron,
-    StandardFormModel,
-    from_standard_form,
-)
+from .polyhedron import AffineSpace, NormalizedPolyhedron, StandardFormModel
 
 INTEGRALITY_TOL = 1e-9
 # sign tolerances in the unboundedness / violation case analysis

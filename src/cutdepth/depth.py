@@ -93,7 +93,8 @@ def point_depth(poly: NormalizedPolyhedron, x) -> float:
     worst = float(margins.min())
     if worst < -POINT_TOL:
         raise PointOutsidePolyhedron(f"x violates a row by {-worst:.3e}")
-    return worst
+    # a member within POINT_TOL; roundoff below zero is a boundary point
+    return max(worst, 0.0)
 
 
 def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
@@ -110,41 +111,34 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     unbounded has no such optimum; there the depth LP is solved from scratch,
     on the dual side when it has more rows than columns (see _dual_side).
     """
-    return _depth(poly, cut, _dual_side)
-
-
-def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:
-    """Depth of a cut over { x : A x = b, lower <= x <= upper }, scored as
-    cut_depth scores a body: from the model's cut-free program, solved once
-    per model (model.chebyshev), plus the cut row.
-
-    Agrees with cut_depth over from_standard_form(model); the formulation
-    here (model.depth_program) keeps the equality rows intact and attaches
-    the shrink variable to the bound rows only.
-    """
-    return _depth(model, cut)
-
-
-def _depth(
-    body: NormalizedPolyhedron | StandardFormModel, cut: Cut, cold_side=None
-) -> DepthResult:
-    """cut_depth over a NormalizedPolyhedron or a StandardFormModel. Where
-    body.chebyshev has no optimum, cold_side(body, cut) may answer before
-    body.depth_program(cut) is solved from scratch."""
-    if cut.dim != body.dim:
-        raise ValueError(f"cut has dimension {cut.dim}, expected {body.dim}")
-    base = body.chebyshev
+    if cut.dim != poly.dim:
+        raise ValueError(f"cut has dimension {cut.dim}, expected {poly.dim}")
+    base = poly.chebyshev
     if base.status == lp.LpStatus.INFEASIBLE:
         raise EmptyPolyhedron("the polyhedron has no feasible point")
     if base.status == lp.LpStatus.OPTIMAL:
         row = np.zeros(base.program.num_cols)
-        row[: body.dim] = cut.coeffs
+        row[: poly.dim] = cut.coeffs
         outcome = lp.add_row(base, row, cut.rhs)
+    elif (result := _dual_side(poly, cut)) is not None:
+        return result
     else:
-        if cold_side is not None and (result := cold_side(body, cut)) is not None:
-            return result
-        outcome = lp.solve(body.depth_program(cut))
-    return _depth_result(outcome, body.dim)
+        outcome = lp.solve(poly.depth_program(cut))
+    return _depth_result(outcome, poly.dim)
+
+
+def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:
+    """Depth of a cut over { x : A x = b, lower <= x <= upper }: cut_depth
+    over model.body, the model's normalized rows, which are built and whose
+    cut-free program is solved once per model."""
+    return cut_depth(model.body, cut)
+
+
+def from_standard_form(model: StandardFormModel) -> NormalizedPolyhedron:
+    """Normalized polyhedron over the hull { x : A x = b } with one row per
+    finite variable bound (see bound_rows)."""
+    normals, offsets, dropped = bound_rows(model)
+    return NormalizedPolyhedron(frozen(normals), frozen(offsets), model.space, dropped)
 
 
 def _dual_side(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
@@ -183,7 +177,7 @@ def _dual_side(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
 
 
 def _depth_result(outcome: lp.LpOutcome, n: int) -> DepthResult:
-    """The depth read off a depth LP over (x, lam, ...) whose body is known to
+    """The depth read off a depth LP over (x, lam) whose body is known to
     be nonempty, because its cut-free program is feasible: so an infeasible
     depth LP means that the cut removes nothing."""
     if outcome.status == lp.LpStatus.INFEASIBLE:
@@ -191,32 +185,6 @@ def _depth_result(outcome: lp.LpOutcome, n: int) -> DepthResult:
     if outcome.status == lp.LpStatus.UNBOUNDED:
         return DepthResult.unbounded(outcome.ray[:n], outcome.stats)
     return DepthResult.finite(max(outcome.objective, 0.0), outcome.x[:n], outcome.stats)
-
-
-def standard_form_program(model: StandardFormModel) -> lp.LinearProgram:
-    """The cut-free depth LP over a standard-form model, which
-    model.depth_program caches and appends a cut row to.
-
-    Equality rows are kept untouched; every finite bound contributes one row
-    x_j -/+ |gamma_j| lam -/+ slack = bound. Variables are
-    (x, lam, one slack per bound row).
-    """
-    rows, _ = bound_rows(model)
-    n, k = model.dim, len(rows)
-    space = model.space
-    sign = np.array([1.0 if r.is_upper else -1.0 for r in rows])
-    at = np.arange(k)
-    A = np.zeros((k + space.num_equalities, n + 1 + k))
-    A[at, [r.var for r in rows]] = 1.0
-    A[at, n] = sign * [r.norm for r in rows]
-    A[at, n + 1 + at] = sign
-    A[k:, :n] = space.A
-    rhs = np.concatenate([[r.value for r in rows], space.b])
-    objective = np.zeros(n + 1 + k)
-    objective[n] = 1.0
-    relations = (lp.EQUAL,) * rhs.shape[0]
-    domains = (lp.FREE,) * n + (lp.NONNEGATIVE,) * (1 + k)
-    return lp.LinearProgram(frozen(objective), frozen(A), relations, frozen(rhs), domains)
 
 
 def volume_lower_bound(n: int, depth: float) -> float:

@@ -258,7 +258,8 @@ class StandardFormModel:
     """Solver-style input { x : A x = b, lower <= x <= upper }.
 
     Bound entries may be -inf / +inf; infinity handling is confined to
-    bound_rows below.
+    bound_rows below. Depth is measured over body, the model rewritten as a
+    NormalizedPolyhedron with one unit row per finite bound.
     """
 
     space: AffineSpace
@@ -283,111 +284,53 @@ class StandardFormModel:
         return self.space.dim
 
     @cached_property
-    def _cut_free_program(self) -> lp.LinearProgram:
-        # depth.py builds it, so that the bound projection is a call to
-        # depth.bound_rows, the name benchmarks/tracer.py wraps; the import
-        # is deferred because depth imports this module
-        from .depth import standard_form_program
+    def body(self) -> NormalizedPolyhedron:
+        """from_standard_form(self), built on first use; its chebyshev is
+        the model's one cut-free depth solve, shared by every cut."""
+        # from_standard_form lives in depth.py, so that the bound projection
+        # is a call to depth.bound_rows, the name benchmarks/tracer.py wraps;
+        # the import is deferred because depth imports this module
+        from .depth import from_standard_form
 
-        return standard_form_program(self)
-
-    def depth_program(self, cut: "Cut | None" = None) -> lp.LinearProgram:
-        """The depth LP over (x, lam, one slack per finite bound row), as
-        depth.standard_form_program builds it once per model, with the row
-        cut.coeffs @ x <= cut.rhs appended last when a cut is given."""
-        base = self._cut_free_program
-        if cut is None:
-            return base
-        row = np.zeros(base.num_cols)
-        row[: self.dim] = cut.coeffs
-        return lp.LinearProgram(
-            base.objective,
-            frozen(np.vstack([base.A, row])),
-            base.relations + (lp.LESS_EQUAL,),
-            frozen(np.append(base.rhs, cut.rhs)),
-            base.domains,
-        )
-
-    @cached_property
-    def chebyshev(self) -> lp.LpOutcome:
-        """The cut-free depth program, solved on first use; see
-        NormalizedPolyhedron.chebyshev."""
-        return lp.solve(self.depth_program())
+        return from_standard_form(self)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundRow:
-    """One finite variable bound, projected onto the hull.
+def bound_rows(model: StandardFormModel) -> tuple[np.ndarray, np.ndarray, int]:
+    """Unit normals and offsets of one in-hull row per finite bound, for each
+    variable its lower row before its upper row, plus the dropped-row count.
 
-    gamma is the projection of the coordinate direction, norm its length,
-    and shift = mu @ space.b the hull-relative correction to the bound value.
-    """
-
-    var: int
-    is_upper: bool
-    value: float
-    gamma: np.ndarray
-    norm: float
-    shift: float
-
-
-def bound_rows(model: StandardFormModel) -> tuple[list[BoundRow], int]:
-    """Projected rows for every finite bound, plus the dropped-row count.
-
-    Variables fixed by the equalities (projection of the coordinate
-    direction is zero) get no row: their implied value is checked against
-    the bound and the row is dropped if implied, while a violated bound
-    raises DegenerateConstraint.
+    A bound's row is the coordinate direction projected onto the hull's
+    direction space and scaled to unit length. Variables fixed by the
+    equalities (that projection is zero) get no row: their implied value is
+    checked against the bound and the row is dropped if implied, while a
+    violated bound raises DegenerateConstraint.
     """
     space = model.space
-    rows: list[BoundRow] = []
-    dropped = 0
     bounded = np.flatnonzero((model.lower > -math.inf) | (model.upper < math.inf))
     gammas, mus = _project_rows(space, np.eye(space.dim)[bounded])
     norms = np.linalg.norm(gammas, axis=1)
     shifts = mus @ space.b
-    for j, gamma, nrm, shift in zip(bounded.tolist(), gammas, norms.tolist(), shifts.tolist()):
-        lo = float(model.lower[j])
-        up = float(model.upper[j])
-        if nrm < DEGENERATE_NORM_TOL:
-            implied = -shift  # e_j = -A^T mu, so x_j = -mu @ b on the hull
-            if lo != -math.inf:
-                if implied < lo - IMPLIED_BOUND_TOL:
-                    raise DegenerateConstraint(
-                        f"variable {j} is fixed to {implied} by the equalities, "
-                        f"violating its lower bound {lo}"
-                    )
-                dropped += 1
-            if up != math.inf:
-                if implied > up + IMPLIED_BOUND_TOL:
-                    raise DegenerateConstraint(
-                        f"variable {j} is fixed to {implied} by the equalities, "
-                        f"violating its upper bound {up}"
-                    )
-                dropped += 1
-            continue
-        if lo != -math.inf:
-            rows.append(BoundRow(j, False, lo, gamma, nrm, shift))
-        if up != math.inf:
-            rows.append(BoundRow(j, True, up, gamma, nrm, shift))
-    return rows, dropped
-
-
-def from_standard_form(model: StandardFormModel) -> NormalizedPolyhedron:
-    """Normalized polyhedron over the hull { x : A x = b } with one row per
-    finite variable bound."""
-    rows, dropped = bound_rows(model)
-    n = model.dim
-    normals = np.zeros((len(rows), n))
-    offsets = np.zeros(len(rows))
-    for i, r in enumerate(rows):
-        if r.is_upper:
-            normals[i] = r.gamma / r.norm
-            offsets[i] = (r.value + r.shift) / r.norm
-        else:
-            normals[i] = -r.gamma / r.norm
-            offsets[i] = -(r.value + r.shift) / r.norm
-    return NormalizedPolyhedron(frozen(normals), frozen(offsets), model.space, dropped)
+    bounds = np.column_stack([model.lower[bounded], model.upper[bounded]])
+    fixed = norms < DEGENERATE_NORM_TOL
+    implied = -shifts  # e_j = -A^T mu, so x_j = -mu @ b on the hull
+    violated = fixed[:, None] & np.column_stack(
+        [implied < bounds[:, 0] - IMPLIED_BOUND_TOL, implied > bounds[:, 1] + IMPLIED_BOUND_TOL]
+    )
+    if violated.any():
+        i, upper = np.argwhere(violated)[0]
+        raise DegenerateConstraint(
+            f"variable {int(bounded[i])} is fixed to {float(implied[i])} by the equalities, "
+            f"violating its {'upper' if upper else 'lower'} bound {float(bounds[i, upper])}"
+        )
+    finite = np.isfinite(bounds)
+    dropped = int(finite[fixed].sum())
+    finite[fixed] = False
+    # row-major: for each variable, the lower row and then the upper row
+    var, upper = np.nonzero(finite)
+    sign = np.where(upper, 1.0, -1.0)
+    normals = gammas[var] / norms[var, None] * sign[:, None]
+    offsets = (bounds[var, upper] + shifts[var]) / norms[var] * sign
+    return normals, offsets, dropped
 
 
 @dataclass(frozen=True, eq=False)

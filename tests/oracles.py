@@ -1,17 +1,20 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the package's own solvers where that
-would make a check circular: vertex enumeration uses numpy solves, and the
-depth bisection drives shrink-feasibility directly.
+would make a check circular: vertex enumeration uses numpy solves, the
+depth bisection drives shrink-feasibility directly, and the standard-form
+depth is solved by SciPy's HiGHS in the model's own variables.
 """
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 from cutdepth import lp
-from cutdepth.polyhedron import NormalizedPolyhedron, shrink
+from cutdepth.depth import DepthKind
+from cutdepth.polyhedron import Cut, NormalizedPolyhedron, StandardFormModel, shrink
 
 
 def lp_optimum_by_vertex_enumeration(program: lp.LinearProgram):
@@ -122,3 +125,48 @@ def monte_carlo_cutoff_area(lo, hi, cut_coeffs, cut_rhs, samples: int, seed: int
     pts = rng.uniform(lo, hi, (samples, lo.shape[0]))
     frac = float(np.mean(pts @ np.asarray(cut_coeffs, dtype=float) < cut_rhs))
     return frac * float(np.prod(hi - lo))
+
+
+def standard_form_depth_by_highs(model: StandardFormModel, cut: Cut):
+    """(kind, value) of the cut's depth over a nonempty standard-form model,
+    by SciPy's HiGHS on the depth LP written in the model's own variables
+    rather than over its normalized rows:
+
+        max lam  s.t.  A x = b,  x_j - s_j lam >= l_j,  x_j + s_j lam <= u_j,
+                       cut.coeffs @ x <= cut.rhs,  lam >= 0,
+
+    with s_j = sqrt(P_jj), the length of e_j projected onto the hull's
+    direction space, P = I - pinv(A) A. A variable with P_jj ~ 0 is fixed by
+    the equalities and its bounds are dropped. Depth is positively
+    homogeneous, so the data are divided by their largest magnitude before
+    the solve, and HiGHS's absolute tolerances see unit-sized numbers at
+    every scale. Skips the calling test when SciPy is missing.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    A, n = model.space.A, model.dim
+    P = np.eye(n) - np.linalg.pinv(A) @ A
+    free = np.diag(P) > 1e-12
+    s = np.sqrt(np.where(free, np.diag(P), 0.0))
+    finite = [v[np.isfinite(v)] for v in (model.lower, model.upper)]
+    scale = float(np.abs(np.concatenate([model.space.b, *finite, [cut.rhs]])).max()) or 1.0
+    rows, rhs = [], []
+    for j in np.flatnonzero(free):
+        for sign, bound in ((-1.0, model.lower[j]), (1.0, model.upper[j])):
+            if math.isfinite(bound):
+                rows.append(np.append(sign * np.eye(n)[j], s[j]))
+                rhs.append(sign * bound / scale)
+    rows.append(np.append(cut.coeffs, 0.0))
+    rhs.append(cut.rhs / scale)
+    p = model.space.num_equalities
+    res = linprog(
+        -np.eye(n + 1)[n],
+        A_ub=np.array(rows),
+        b_ub=np.array(rhs),
+        A_eq=np.column_stack([A, np.zeros(p)]) if p else None,
+        b_eq=model.space.b / scale if p else None,
+        bounds=[(None, None)] * n + [(0.0, None)],
+        method="highs",
+    )
+    if res.status == 0:
+        return DepthKind.FINITE, max(-float(res.fun), 0.0) * scale
+    return {2: DepthKind.NOT_VIOLATED, 3: DepthKind.UNBOUNDED}[res.status], None

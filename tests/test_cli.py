@@ -186,6 +186,21 @@ class TestDepthCommand:
         assert records[1]["value"] is None and records[1]["note"]
 
 
+    @pytest.mark.parametrize("method", ["auto", "lp", "closed-form", "both"])
+    def test_malformed_body_without_cuts_exits_2(self, tmp_path, method):
+        # row 0 is orthogonal to the space, which the LP's normalization
+        # rejects; the closed form rejects a body that is not a corner
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"polyhedron": {"A": [[0, 0], [1, 0]], "b": [1, 1]}}))
+        assert main(["depth", "--in", str(path), "--method", method]) == 2
+
+    def test_closed_form_without_cuts_needs_corner(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**SQUARE, "cuts": []}))
+        assert main(["depth", "--in", str(path), "--method", "lp"]) == 0
+        for method in ("closed-form", "both"):
+            assert main(["depth", "--in", str(path), "--method", method]) == 2
+
     def test_no_cuts_prints_the_header(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({**SQUARE, "cuts": []}))

@@ -6,12 +6,13 @@ import pytest
 from cutdepth import lp
 from cutdepth.cli.suites import random_corner
 from cutdepth.constructions import depth_lower_bound_cone
-from cutdepth.corner import standard_form_model
+from cutdepth.corner import CornerData, build_corner, standard_form_model
 from cutdepth.depth import (
     DepthKind,
     _depth_result,
     cut_depth,
     cut_depth_standard_form,
+    from_standard_form,
     point_depth,
     volume_lower_bound,
 )
@@ -26,12 +27,11 @@ from cutdepth.polyhedron import (
     HPolyhedron,
     NormalizedPolyhedron,
     StandardFormModel,
-    from_standard_form,
     normalize,
     shrink,
 )
 
-from oracles import point_depth_by_bisection
+from oracles import point_depth_by_bisection, standard_form_depth_by_highs
 
 
 def box(lo, hi):
@@ -79,6 +79,18 @@ class TestPointDepth:
         Q = box([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(PointOutsidePolyhedron):
             point_depth(Q, [1.5, 0.5])
+
+    def test_boundary_points_have_depth_zero(self):
+        # the vertex and points on the rays of a corner lie on its boundary;
+        # roundoff below zero in their margins is not reported
+        cone = build_corner(CornerData([0.5, 1.25], [[1.0, -1.0], [0.5, 1.0]]))
+        assert point_depth(cone.body, cone.vertex) == 0.0
+        depths = [
+            point_depth(cone.body, cone.vertex + t * ray)
+            for t in (0.3, 1.7, 10.0)
+            for ray in cone.rays.T
+        ]
+        assert min(depths) == 0.0 and max(depths) < 1e-12
 
     def test_matches_shrink_bisection(self):
         rng = np.random.default_rng(31)
@@ -590,7 +602,7 @@ def _box_cuts(rng, model, count=6):
     """In turn, cuts that keep the model's cached centre but cut into the
     box, so that the warm path pivots; cuts that remove the centre; and
     cuts that miss the box."""
-    centre = model.chebyshev.x[: model.dim]
+    centre = model.body.chebyshev.x[: model.dim]
     reach = np.maximum(np.abs(model.lower), np.abs(model.upper))
     cuts = []
     for i in range(count):
@@ -608,7 +620,7 @@ def _same_depth(result, reference):
 
 
 class TestStandardFormWarmStart:
-    """A standard-form model solves its cut-free program once (model.chebyshev);
+    """A standard-form model solves its cut-free program once (model.body.chebyshev);
     with an optimum there, each cut re-optimizes it by one added row, and
     the result matches a cold solve of the same program."""
 
@@ -621,12 +633,12 @@ class TestStandardFormWarmStart:
     def test_warm_matches_cold_and_the_inequality_form(self):
         kinds, pivoted = set(), 0
         for model, cuts in self._models():
-            assert model.chebyshev.status == lp.LpStatus.OPTIMAL
+            assert model.body.chebyshev.status == lp.LpStatus.OPTIMAL
             rows = from_standard_form(model)
             for cut in cuts:
                 result = cut_depth_standard_form(model, cut)
                 assert _is_warm(result)
-                _same_depth(result, _primal(model, cut))
+                _same_depth(result, _primal(model.body, cut))
                 _same_depth(result, cut_depth(rows, cut))
                 kinds.add(result.kind)
                 pivoted += result.stats.dual_pivots > 0
@@ -637,7 +649,7 @@ class TestStandardFormWarmStart:
         model, cuts = next(_corner_models(4, 1))
         finite, vacuous = cuts[:2]
         assert cut_depth_standard_form(model, finite).kind == DepthKind.FINITE
-        assert model.chebyshev.status == lp.LpStatus.UNBOUNDED
+        assert model.body.chebyshev.status == lp.LpStatus.UNBOUNDED
         solves = []
         solve = lp.solve
 
@@ -654,7 +666,7 @@ class TestStandardFormWarmStart:
         for _ in range(2):
             with pytest.raises(EmptyPolyhedron):
                 cut_depth_standard_form(model, Cut([1.0, 0.0], 1.0))
-        assert model.chebyshev.status == lp.LpStatus.INFEASIBLE
+        assert model.body.chebyshev.status == lp.LpStatus.INFEASIBLE
 
     def test_scoring_leaves_the_cache_unchanged(self):
         rng = np.random.default_rng(12)
@@ -665,6 +677,38 @@ class TestStandardFormWarmStart:
         assert again.value == first.value
         assert again.point.tobytes() == first.point.tobytes()
         assert again.stats == first.stats
+
+
+class TestStandardFormOracle:
+    """cut_depth_standard_form against HiGHS on the depth LP written in the
+    model's own variables, with the bound rows scaled by sqrt(P_jj) instead
+    of normalized (oracles.standard_form_depth_by_highs)."""
+
+    def _kind(self, model, cut, scale=1.0):
+        kind, value = standard_form_depth_by_highs(model, cut)
+        result = cut_depth_standard_form(model, cut)
+        assert result.kind == kind, cut
+        if kind == DepthKind.FINITE:
+            assert result.value == pytest.approx(value, rel=1e-6, abs=1e-9 * scale)
+        return kind
+
+    def test_seeded_boxes(self):
+        rng = np.random.default_rng(31)
+        kinds = set()
+        for n, equalities, pin in ((4, 0, False), (6, 2, False), (5, 1, True), (3, 0, True)):
+            model = _bounded_model(rng, n, equalities, pin)
+            if pin:
+                assert model.body.dropped_bounds == 2
+            kinds.update(self._kind(model, cut) for cut in _box_cuts(rng, model))
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED}
+
+    def test_corners_across_scales(self):
+        kinds = set()
+        for index, (model, cuts) in enumerate(_corner_models(13, 20)):
+            t = 10.0 ** (4 * (index % 5) - 8)
+            scaled = _scaled(model, t)
+            kinds.update(self._kind(scaled, Cut(cut.coeffs, t * cut.rhs), t) for cut in cuts)
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
 
 
 def _reordered(body, order):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cutdepth.depth import from_standard_form
 from cutdepth.errors import DegenerateConstraint, NotPositiveDefinite
 from cutdepth.polyhedron import (
     AffineSpace,
@@ -10,7 +11,6 @@ from cutdepth.polyhedron import (
     HPolyhedron,
     NormalizedPolyhedron,
     StandardFormModel,
-    from_standard_form,
     normalize,
     project_onto_direction_space,
     shrink,
@@ -240,6 +240,42 @@ class TestFromStandardForm:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             StandardFormModel(AffineSpace.full_space(1), [1.0], [0.0])
+
+    def test_rows_match_a_loop_over_the_bounds(self):
+        # reference: one bound at a time, for each variable its lower row
+        # and then its upper row, offsets taken from a point x0 on the hull
+        rng = np.random.default_rng(3)
+        for n, p in ((4, 0), (5, 2), (6, 3)):
+            x0 = rng.uniform(-1.0, 1.0, n)
+            L = rng.standard_normal((p, n))
+            if p:
+                L[-1] = np.eye(n)[2]  # pins x_2, whose bounds are dropped
+            space = AffineSpace(L, L @ x0)
+            lower = np.where(rng.uniform(size=n) < 0.3, -math.inf, x0 - 1.0)
+            upper = np.where(rng.uniform(size=n) < 0.3, math.inf, x0 + 1.0)
+            Q = from_standard_form(StandardFormModel(space, lower, upper))
+            normals, offsets, dropped = [], [], 0
+            for j in range(n):
+                gamma = project_onto_direction_space(space, np.eye(n)[j])
+                norm = np.linalg.norm(gamma)
+                for sign, bound in ((-1.0, lower[j]), (1.0, upper[j])):
+                    if not math.isfinite(bound):
+                        continue
+                    if norm < 1e-10:
+                        dropped += 1
+                        continue
+                    normals.append(sign * gamma / norm)
+                    offsets.append(sign * (bound - x0[j] + gamma @ x0) / norm)
+            np.testing.assert_allclose(Q.normals, np.reshape(normals, (-1, n)), atol=1e-12)
+            np.testing.assert_allclose(Q.offsets, offsets, atol=1e-12)
+            assert Q.dropped_bounds == dropped
+
+    def test_violated_upper_bound_named(self):
+        space = AffineSpace([[0.0, 1.0]], [2.0])
+        model = StandardFormModel(space, [0.0, 0.0], [1.0, 1.0])
+        message = "variable 1 is fixed to 2.0 by the equalities, violating its upper bound 1.0"
+        with pytest.raises(DegenerateConstraint, match=message):
+            from_standard_form(model)
 
 
 class TestCut:
