@@ -300,7 +300,7 @@ def cmd_bound_integer_hull(args) -> int:
         rows = [_parse_list(part, "--basis") for part in args.basis.split(";")]
         if len({len(row) for row in rows}) > 1:
             raise InstanceError("--basis: rows must have equal lengths")
-        record["lattice_value"] = lattice_integer_hull_bound(np.array(rows))
+        record["lattice_value"] = files.wrap("--basis", lattice_integer_hull_bound, np.array(rows))
     payload = {"command": "bound integer-hull", "bound_records": [record]}
     if args.out:
         _emit(payload, args.out)
@@ -365,15 +365,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _epsilon(text: str) -> float:
-    """--epsilon: the deep cone's facet offset, in (0, 0.25)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < 0.25:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 0.25), got {text!r}")
-    return value
+def _option(parse, accept, expected: str):
+    """An argparse type: parse(text), rejected (exit 2) unless accepted."""
+
+    def convert(text: str):
+        try:
+            if accept(value := parse(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
+
+
+# the deep cone's facet offset; a comparison tolerance; a seed for default_rng
+_epsilon = _option(float, lambda v: 0.0 < v < 0.25, "a number in (0, 0.25)")
+_tol = _option(float, math.isfinite, "a finite number")
+_seed = _option(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("split-dominance", "point depths vs split bounds on random boxes"),
     ]:
         p = verify_sub.add_parser(name, help=helptext)
-        p.add_argument("--tol", type=float, default=suites.DEFAULT_TOL)
+        p.add_argument("--tol", type=_tol, default=suites.DEFAULT_TOL)
         p.add_argument("--out", metavar="FILE")
         if name in ("lemma-x", "cone"):
             p.add_argument("--n-max", dest="n_max", type=int, default=10 if name == "lemma-x" else 6)
@@ -443,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--count", type=int, default=200 if name == "corner-equivalence" else 50
             )
-            p.add_argument("--seed", type=int, default=1)
+            p.add_argument("--seed", type=_seed, default=1)
         p.set_defaults(handler=cmd_verify, suite=name)
 
     p_gen = sub.add_parser("generate", help="emit instance files")
@@ -454,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen_cone.add_argument("--out", metavar="FILE")
     p_gen_cone.set_defaults(handler=cmd_generate, kind="cone")
     p_gen_corner = gen_sub.add_parser("corner", help="seeded random corner instance")
-    p_gen_corner.add_argument("--seed", type=int, default=1)
+    p_gen_corner.add_argument("--seed", type=_seed, default=1)
     p_gen_corner.add_argument("--out", metavar="FILE")
     p_gen_corner.set_defaults(handler=cmd_generate, kind="corner")
 

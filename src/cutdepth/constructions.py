@@ -59,10 +59,6 @@ class LatticePolytope:
     def dim(self) -> int:
         return self.point.shape[0]
 
-    @property
-    def radius_bound(self) -> float:
-        return math.sqrt((self.dim + 1) / 2.0)
-
 
 def enclosing_lattice_polytope(y) -> LatticePolytope:
     """Construct and certify the enclosing lattice polytope for y.

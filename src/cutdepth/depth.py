@@ -9,7 +9,7 @@ and the latter is a linear program over the shrunken bodies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import EmptyPolyhedron, PointOutsideHull, PointOutsidePolyhedron
 from .linalg import as_vector, frozen
 from .polyhedron import Cut, NormalizedPolyhedron, StandardFormModel, bound_rows
 
-# membership tolerance for point queries
+# membership tolerance for point queries, relative to each row's scale
 POINT_TOL = 1e-7
 
 
@@ -79,19 +79,21 @@ def point_depth(poly: NormalizedPolyhedron, x) -> float:
     """Depth of a feasible point: the minimum row margin offsets - normals @ x.
 
     Returns +inf when the polyhedron has no inequality rows. Raises
-    PointOutsideHull / PointOutsidePolyhedron when x is not a member within
-    POINT_TOL.
+    PointOutsideHull / PointOutsidePolyhedron when a hull residual or a
+    row's violation exceeds POINT_TOL times its lp.row_scale, so that
+    membership depends neither on the data's scale nor on where it lies.
     """
     x = as_vector(x, "x")
     if x.shape[0] != poly.dim:
         raise ValueError(f"x has length {x.shape[0]}, expected {poly.dim}")
-    if not poly.space.contains(x, POINT_TOL):
+    space = poly.space
+    if (np.abs(space.b - space.A @ x) > POINT_TOL * lp.row_scale(space.A, space.b, x)).any():
         raise PointOutsideHull("x does not satisfy the affine-hull equalities")
     if poly.num_rows == 0:
         return math.inf
     margins = poly.offsets - poly.normals @ x
     worst = float(margins.min())
-    if worst < -POINT_TOL:
+    if (margins < -POINT_TOL * lp.row_scale(poly.normals, poly.offsets, x)).any():
         raise PointOutsidePolyhedron(f"x violates a row by {-worst:.3e}")
     # a member within POINT_TOL; roundoff below zero is a boundary point
     return max(worst, 0.0)
@@ -109,7 +111,7 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     per body) plus the cut row, so the cut is scored by re-optimizing that
     one row from the cached optimum. A body whose cut-free program is
     unbounded has no such optimum; there the depth LP is solved from scratch,
-    on the dual side when it has more rows than columns (see _dual_side).
+    through its LP dual when that certifies an optimum (lp.solve_dual).
     """
     if cut.dim != poly.dim:
         raise ValueError(f"cut has dimension {cut.dim}, expected {poly.dim}")
@@ -120,10 +122,9 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
         row = np.zeros(base.program.num_cols)
         row[: poly.dim] = cut.coeffs
         outcome = lp.add_row(base, row, cut.rhs)
-    elif (result := _dual_side(poly, cut)) is not None:
-        return result
     else:
-        outcome = lp.solve(poly.depth_program(cut))
+        program = poly.depth_program(cut)
+        outcome = lp.solve_dual(program) or lp.solve(program)
     return _depth_result(outcome, poly.dim)
 
 
@@ -139,41 +140,6 @@ def from_standard_form(model: StandardFormModel) -> NormalizedPolyhedron:
     finite variable bound (see bound_rows)."""
     normals, offsets, dropped = bound_rows(model)
     return NormalizedPolyhedron(frozen(normals), frozen(offsets), model.space, dropped)
-
-
-def _dual_side(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
-    """The depth read off an optimum of poly.dual_depth_program(cut), whose
-    n + 1 rows make its tableau far smaller than the depth program's when
-    the body has many rows. The deepest point x and lam are minus its row
-    duals times the objective's scale. None, for the caller to solve the
-    depth program directly, when that program (m + 1 + p rows on n + 1
-    columns) has no more rows than columns, and unless the dual is optimal
-    and (x, lam) certifies: every body row, the cut row and the hull hold to
-    FEASIBILITY_TOL times their own scales, as in the solver's phase 1.
-    Otherwise the depth program is infeasible or unbounded, or too close to
-    it for the dual's answer to stand."""
-    if poly.num_rows + poly.space.num_equalities <= poly.dim:
-        return None
-    program, scale = poly.dual_depth_program(cut)
-    outcome = lp.solve(program)
-    if outcome.status != lp.LpStatus.OPTIMAL:
-        return None
-    n = poly.dim
-    # 0.0 - v and max(0.0, v) turn a -0.0 dual into +0.0
-    x = 0.0 - scale * outcome.duals[:n]
-    lam = max(0.0, -scale * float(outcome.duals[n]))
-    tol = lp.FEASIBILITY_TOL
-    size = np.abs(x)
-    slack = poly.offsets - poly.normals @ x - lam
-    if (slack < -tol * np.maximum(np.abs(poly.offsets), np.abs(poly.normals) @ size + lam)).any():
-        return None
-    if cut.rhs - cut.coeffs @ x < -tol * max(abs(cut.rhs), float(np.abs(cut.coeffs) @ size)):
-        return None
-    space = poly.space
-    residual = np.abs(space.A @ x - space.b)
-    if (residual > tol * np.maximum(np.abs(space.b), np.abs(space.A) @ size)).any():
-        return None
-    return DepthResult.finite(lam, x, replace(outcome.stats, dualized=True))
 
 
 def _depth_result(outcome: lp.LpOutcome, n: int) -> DepthResult:

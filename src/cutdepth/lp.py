@@ -1,5 +1,6 @@
 """Self-contained dense two-phase simplex solver, with a dual simplex that
-re-optimizes an optimum after one more row.
+re-optimizes an optimum after one more row, and solve_dual, which solves a
+program with many more rows than columns through its LP dual.
 
 Maximizes a linear objective subject to <=, =, >= rows over free or
 nonnegative variables; free variables are split into positive and negative
@@ -14,7 +15,7 @@ which the row duals are read and from which add_row starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import IterationLimit
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, frozen
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -41,10 +42,13 @@ _ROUNDOFF = 1e-12
 # a ratio this small means the pivot will not move the objective
 _DEGENERATE_RATIO = 1e-12
 
-_RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 # +1 for <=, -1 for >=, 0 for =; a row negated to make its rhs >= 0 flips it
 _SENSE = {LESS_EQUAL: 1.0, EQUAL: 0.0, GREATER_EQUAL: -1.0}
-_DOMAINS = (FREE, NONNEGATIVE)
+# whether a domain is free; its keys are the valid domains
+_IS_FREE = {FREE: True, NONNEGATIVE: False}
+# the LP dual's row for each column domain and column for each row relation
+_DUAL_RELATION = {FREE: EQUAL, NONNEGATIVE: GREATER_EQUAL}
+_DUAL_DOMAIN = {LESS_EQUAL: NONNEGATIVE, EQUAL: FREE}
 
 
 class LpStatus(Enum):
@@ -78,12 +82,11 @@ class LinearProgram:
             raise ValueError(f"{len(self.relations)} relations for {m} rows")
         if len(self.domains) != n:
             raise ValueError(f"{len(self.domains)} domains for {n} columns")
-        for rel in self.relations:
-            if rel not in _RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-        for dom in self.domains:
-            if dom not in _DOMAINS:
-                raise ValueError(f"unknown domain {dom!r}")
+        # set differences, not loops: a dual has one domain per body row
+        if unknown := set(self.relations).difference(_SENSE):
+            raise ValueError(f"unknown relation {unknown.pop()!r}")
+        if unknown := set(self.domains).difference(_IS_FREE):
+            raise ValueError(f"unknown domain {unknown.pop()!r}")
 
     @property
     def num_rows(self) -> int:
@@ -96,7 +99,7 @@ class LinearProgram:
     @cached_property
     def _layout(self) -> "_Layout":
         """How solve lays this program out as columns; see _Layout."""
-        free = np.array([dom == FREE for dom in self.domains], dtype=bool)
+        free = np.fromiter(map(_IS_FREE.__getitem__, self.domains), bool, self.num_cols)
         width = np.where(free, 2, 1)
         var = np.repeat(np.arange(self.num_cols), width)
         sign = np.ones(var.shape[0])
@@ -104,7 +107,8 @@ class LinearProgram:
         sign[minus] = -1.0
         ns = var.shape[0]
         row_sign = np.where(self.rhs < 0.0, -1.0, 1.0)
-        sense = np.array([_SENSE[rel] for rel in self.relations]) * row_sign
+        sense = np.fromiter(map(_SENSE.__getitem__, self.relations), float, self.num_rows)
+        sense *= row_sign
         ineq = sense != 0.0
         art = sense <= 0.0
         slack_id = ns + np.cumsum(ineq) - 1
@@ -127,9 +131,9 @@ class LinearProgram:
 class SolveStats:
     """What the simplex did: pivots per phase, dual simplex pivots (add_row),
     degenerate pivots over all of them, whether Bland's rule took over, and
-    redundant rows dropped after phase 1. dualized is set by callers that
-    solved a program's LP dual in its place and read the answer off the
-    dual's duals."""
+    redundant rows dropped after phase 1. dualized is set by solve_dual,
+    which solves a program's LP dual in its place and reads the answer off
+    the dual's duals."""
 
     phase1_pivots: int = 0
     phase2_pivots: int = 0
@@ -373,6 +377,61 @@ def solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome(
         LpStatus.UNBOUNDED, x=_fold(lay, point, n), ray=_fold(lay, ray, n), stats=stats
     )
+
+
+def dual(program: LinearProgram) -> tuple[LinearProgram, float]:
+    """The LP dual of a program of <= and = rows (ValueError on >= rows),
+    and the scale of its objective: min rhs @ y s.t. A^T y = objective on
+    free columns and >= objective on nonnegative ones, y >= 0 on <= rows and
+    free on = rows, posed as max of -rhs / scale. scale is the largest
+    |rhs| (1 when all are 0), so the pivot tolerance sees data of unit size.
+    """
+    try:
+        domains = tuple(map(_DUAL_DOMAIN.__getitem__, program.relations))
+    except KeyError:
+        raise ValueError("dual takes programs of <= and = rows only") from None
+    scale = float(np.abs(program.rhs).max(initial=0.0)) or 1.0
+    relations = tuple(map(_DUAL_RELATION.__getitem__, program.domains))
+    dual_program = LinearProgram(
+        frozen(program.rhs / -scale), frozen(program.A.T.copy()), relations, program.objective,
+        domains,
+    )
+    return dual_program, scale
+
+
+def row_scale(A: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row's scale at x, the larger of |rhs_i| and |A_i| @ |x|."""
+    return np.maximum(np.abs(rhs), np.abs(A) @ np.abs(x))
+
+
+def solve_dual(program: LinearProgram) -> LpOutcome | None:
+    """Solve a program of <= and = rows with more rows than columns through
+    its smaller LP dual. x is minus the dual's row duals times scale,
+    clamped at 0 on nonnegative columns; the optimum also carries the dual's
+    optimum as duals and stats with dualized set, but no tableau. None, for
+    the caller to solve the program as written, when it has no more rows
+    than columns, and unless the dual is optimal and x meets every row to
+    FEASIBILITY_TOL times its row_scale: else the program is infeasible or
+    unbounded, or too close to it for the dual's answer to stand.
+    """
+    if program.num_rows <= program.num_cols:
+        return None
+    dual_program, scale = dual(program)
+    outcome = solve(dual_program)
+    if outcome.status != LpStatus.OPTIMAL:
+        return None
+    x = 0.0 - scale * outcome.duals  # 0.0 - v turns a -0.0 dual into +0.0
+    free = np.fromiter(map(_IS_FREE.__getitem__, program.domains), bool, program.num_cols)
+    x[~free] = np.maximum(x[~free], 0.0)
+    slack = program.rhs - program.A @ x
+    allowed = FEASIBILITY_TOL * row_scale(program.A, program.rhs, x)
+    # the = rows are the dual's free columns, laid out as +/- pairs
+    equal = dual_program._layout.var[dual_program._layout.sign < 0.0]
+    if (slack < -allowed).any() or (slack[equal] > allowed[equal]).any():
+        return None
+    stats = replace(outcome.stats, dualized=True)
+    objective = float(program.objective @ x)
+    return LpOutcome(LpStatus.OPTIMAL, x=x, objective=objective, stats=stats, duals=outcome.x)
 
 
 def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:

@@ -182,38 +182,6 @@ class NormalizedPolyhedron:
         domains = (lp.FREE,) * n + (lp.NONNEGATIVE,)
         return lp.LinearProgram(frozen(objective), frozen(A), relations, frozen(rhs), domains)
 
-    def dual_depth_program(self, cut: "Cut") -> tuple[lp.LinearProgram, float]:
-        """The LP dual of depth_program(cut) and the scale of its objective.
-
-        min offsets @ y + cut.rhs * z + b @ w s.t. normals^T y + cut.coeffs * z
-        + A^T w = 0 (one row per free x_j) and sum(y) >= 1 (for lam >= 0),
-        over y, z >= 0 and w free; variables are (y, z, w), so it has n + 1
-        rows whatever the number of body rows. It is posed as a maximization
-        of the negated objective divided by scale, its largest |entry| (1 when
-        all are 0), so that the solver's absolute pivot tolerance sees data
-        of unit size. At an optimum the duals of the first n rows are
-        -x / scale and that of the last row is -lam / scale.
-        """
-        n = self.dim
-        m = self.num_rows
-        p = self.space.num_equalities
-        A = np.zeros((n + 1, m + 1 + p))
-        A[:n, :m] = self.normals.T
-        A[:n, m] = cut.coeffs
-        A[:n, m + 1 :] = self.space.A.T
-        A[n, :m] = 1.0
-        objective = np.concatenate([self.offsets, [cut.rhs], self.space.b])
-        scale = float(np.abs(objective).max())
-        if scale == 0.0:
-            scale = 1.0
-        objective /= -scale
-        rhs = np.zeros(n + 1)
-        rhs[n] = 1.0
-        relations = (lp.EQUAL,) * n + (lp.GREATER_EQUAL,)
-        domains = (lp.NONNEGATIVE,) * (m + 1) + (lp.FREE,) * p
-        program = lp.LinearProgram(frozen(objective), frozen(A), relations, frozen(rhs), domains)
-        return program, scale
-
     @cached_property
     def chebyshev(self) -> lp.LpOutcome:
         """The cut-free depth program, solved on first use: optimal at a

@@ -449,3 +449,27 @@ def test_malformed_input_exits_2(argv, fields, tmp_path):
     except SystemExit as exc:  # argparse rejects an option value
         code = exc.code
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "corner", "--seed", "-1"],
+        ["verify", "corner-equivalence", "--seed", "-1"],
+        ["verify", "split-dominance", "--seed", "-2"],
+        ["bound", "integer-hull", "--n", "3", "--basis", "1,0;0,nan"],
+        ["verify", "cone", "--tol", "nan"],
+        ["verify", "lemma-x", "--tol", "inf"],
+    ],
+    ids=[
+        "generate-seed", "corner-equivalence-seed", "split-dominance-seed", "basis-nan",
+        "tol-nan", "tol-inf",
+    ],
+)
+def test_bad_option_value_exits_2(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects an option value
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

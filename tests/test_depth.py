@@ -92,6 +92,33 @@ class TestPointDepth:
         ]
         assert min(depths) == 0.0 and max(depths) < 1e-12
 
+    @pytest.mark.parametrize("hull", [False, True])
+    def test_membership_is_relative_to_the_data(self, hull):
+        # a rotated box of width t shifted by (3, -7) t, optionally lifted
+        # onto a tilted plane in R^3: its vertex is a member, while a point
+        # half a width outside it or t off the plane is not, at every scale
+        c, s = math.cos(0.3), math.sin(0.3)
+        rotation = np.array([[c, -s], [s, c]])
+        A = np.vstack([rotation.T, -rotation.T])
+        for t in 10.0 ** np.arange(-10, 13):
+            shift = np.array([3.0, -7.0]) * t
+            b = np.array([t, t, 0.0, 0.0]) + A @ shift
+            vertex = shift + rotation @ np.array([1.0, 1.0]) * t
+            outside = shift + rotation @ np.array([1.5, 0.5]) * t
+            if hull:
+                L = np.array([[0.2, -0.4, 1.0]])
+                space = AffineSpace(L, [0.0])
+                body = normalize(HPolyhedron(np.hstack([A, np.zeros((4, 1))]), b, space))
+                vertex, outside = (np.append(x, -L[0, :2] @ x) for x in (vertex, outside))
+                with pytest.raises(PointOutsideHull):
+                    point_depth(body, vertex + [0.0, 0.0, t])
+            else:
+                body = normalize(HPolyhedron(A, b, AffineSpace.full_space(2)))
+            # the vertex lies on two rows; their margins are 0 up to roundoff
+            assert point_depth(body, vertex) <= 1e-15 * t, t
+            with pytest.raises(PointOutsidePolyhedron):
+                point_depth(body, outside)
+
     def test_matches_shrink_bisection(self):
         rng = np.random.default_rng(31)
         Q = box([0.0, -1.0, 0.5], [2.0, 1.0, 3.5])
@@ -571,13 +598,13 @@ class TestDualSide:
     def test_uncertified_answer_falls_back(self, monkeypatch):
         body = normalize(depth_lower_bound_cone(5, 1e-4).polyhedron)
         cut = Cut(-np.eye(5)[0], 0.0)
-        honest = NormalizedPolyhedron.dual_depth_program
+        honest = lp.dual
 
-        def misscaled(poly, cut):
-            program, scale = honest(poly, cut)
-            return program, 2.0 * scale
+        def misscaled(program):
+            dual_program, scale = honest(program)
+            return dual_program, 2.0 * scale
 
-        monkeypatch.setattr(NormalizedPolyhedron, "dual_depth_program", misscaled)
+        monkeypatch.setattr(lp, "dual", misscaled)
         result = cut_depth(body, cut)
         reference = _primal(body, cut)
         assert not result.stats.dualized

@@ -447,6 +447,102 @@ def _dense_depth_programs(seed, rows, n, hull):
     return [body.depth_program(cut) for cut in cuts]
 
 
+def _boxed_program(rng):
+    """A feasible, bounded program of <= and = rows around a point x0 >= 0,
+    with free and nonnegative columns and every column boxed to x0 +/- 2t,
+    so that it has more rows than columns; t sets the data's scale."""
+    n, k = int(rng.integers(2, 7)), int(rng.integers(1, 8))
+    p = int(rng.integers(0, n))
+    t = 10.0 ** int(rng.integers(-4, 5))
+    x0 = t * rng.uniform(0.1, 1.0, n)
+    G, L = rng.standard_normal((k, n)), rng.standard_normal((p, n))
+    A = np.vstack([G, np.eye(n), -np.eye(n), L])
+    rhs = np.concatenate([G @ x0 + t * rng.uniform(0.1, 1.0, k), x0 + 2 * t, 2 * t - x0, L @ x0])
+    relations = [LESS_EQUAL] * (k + 2 * n) + [EQUAL] * p
+    domains = [FREE if free else NONNEGATIVE for free in rng.random(n) < 0.5]
+    return make_lp(rng.standard_normal(n), A, relations, rhs, domains)
+
+
+class TestDual:
+    """lp.dual and lp.solve_dual against solve on the program as written."""
+
+    def test_layout(self):
+        prog = make_lp(
+            [1.0, 2.0], [[1.0, 0.0], [3.0, 1.0], [0.0, 1.0]], [LESS_EQUAL, EQUAL, LESS_EQUAL],
+            [4.0, -8.0, 0.0], [FREE, NONNEGATIVE],
+        )
+        dual, scale = lp.dual(prog)
+        assert scale == 8.0
+        np.testing.assert_array_equal(dual.A, prog.A.T)
+        np.testing.assert_array_equal(dual.objective, [-0.5, 1.0, -0.0])
+        np.testing.assert_array_equal(dual.rhs, prog.objective)
+        assert dual.relations == (EQUAL, GREATER_EQUAL)
+        assert dual.domains == (NONNEGATIVE, FREE, NONNEGATIVE)
+        assert lp.dual(make_lp([1.0], [[1.0]], [LESS_EQUAL], [0.0], [FREE]))[1] == 1.0
+
+    def test_rejects_greater_equal_rows(self):
+        prog = make_lp([1.0], [[1.0], [1.0]], [LESS_EQUAL, GREATER_EQUAL], [1.0, 0.0], [FREE])
+        with pytest.raises(ValueError):
+            lp.dual(prog)
+
+    def test_strong_duality(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            prog = _boxed_program(rng)
+            primal = checked_solve(prog)
+            dual, scale = lp.dual(prog)
+            answer = checked_solve(dual)
+            assert primal.status == answer.status == LpStatus.OPTIMAL
+            scale_of_value = np.abs(prog.objective) @ np.abs(primal.x)
+            assert -scale * answer.objective == pytest.approx(
+                primal.objective, rel=1e-9, abs=1e-9 * scale_of_value
+            )
+
+    def test_solve_dual_agrees_with_solve(self):
+        rng = np.random.default_rng(22)
+        for _ in range(40):
+            prog = _boxed_program(rng)
+            primal = checked_solve(prog)
+            out = lp.solve_dual(prog)
+            assert out.status == LpStatus.OPTIMAL
+            assert out.stats.dualized and not primal.stats.dualized
+            assert_outcome_invariants(prog, out)
+            scale_of_value = np.abs(prog.objective) @ np.abs(primal.x)
+            assert out.objective == pytest.approx(
+                primal.objective, rel=1e-9, abs=1e-9 * scale_of_value
+            )
+            assert (out.x[np.array(prog.domains) == NONNEGATIVE] >= 0.0).all()
+            assert_duals_certify(prog, out)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_solve_dual_holds_equal_rows_from_both_sides(self, monkeypatch, factor):
+        # max -x s.t. x = 1, x <= 5, x <= 6: a misscaled dual reads x = factor,
+        # which meets both <= rows but misses the = row from one side
+        prog = make_lp([-1.0], [[1.0], [1.0], [1.0]], [EQUAL, LESS_EQUAL, LESS_EQUAL],
+                       [1.0, 5.0, 6.0], [FREE])
+        assert lp.solve_dual(prog).x == pytest.approx([1.0])
+        honest = lp.dual
+
+        def misscaled(program):
+            dual_program, scale = honest(program)
+            return dual_program, factor * scale
+
+        monkeypatch.setattr(lp, "dual", misscaled)
+        assert lp.solve_dual(prog) is None
+
+    def test_solve_dual_declines(self):
+        square = make_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [LESS_EQUAL] * 2, [1.0, 2.0],
+                         [NONNEGATIVE] * 2)
+        assert checked_solve(square).status == LpStatus.OPTIMAL
+        assert lp.solve_dual(square) is None
+        # x <= -1 with x >= 0 is infeasible, so the dual is unbounded
+        infeasible = make_lp([1.0], [[1.0], [1.0]], [LESS_EQUAL] * 2, [-1.0, 1.0], [NONNEGATIVE])
+        assert lp.solve_dual(infeasible) is None
+        # x free with only upper bounds: max -x is unbounded, the dual infeasible
+        unbounded = make_lp([-1.0], [[1.0], [2.0]], [LESS_EQUAL] * 2, [1.0, 1.0], [FREE])
+        assert lp.solve_dual(unbounded) is None
+
+
 def _unbounded_programs(seed, count):
     """max c @ x over A x <= b, x >= 0 where column 0 of A is nonpositive
     and c_0 > 0, so x_0 can grow without bound."""
@@ -511,7 +607,7 @@ class TestAgainstHighs:
                 coeffs[:8] = rng.uniform(-0.2, 0.2, 8)
                 coeffs[0] = -1.0
                 cuts.append(Cut(coeffs, rng.uniform(-0.5, 0.0)))
-            programs = [body.dual_depth_program(cut)[0] for cut in cuts]
+            programs = [lp.dual(body.depth_program(cut))[0] for cut in cuts]
             statuses = [checked_solve(program).status for program in programs]
             assert statuses[:3] == [LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.UNBOUNDED]
             self._agree(programs)
