@@ -315,6 +315,8 @@ def cmd_bound_integer_hull(args) -> int:
 def cmd_verify(args) -> int:
     options = {k: v for k, v in vars(args).items() if k in SUITE_OPTIONS}
     records = suites.SUITES[args.suite](**options)
+    if not records:
+        raise InstanceError(f"verify {args.suite}: the options leave no check to run")
     failed = sum(not r.passed for r in records)
     for r in records:
         status = "PASS" if r.passed else "FAIL"

@@ -1,10 +1,10 @@
 """Corner relaxations as translated simple pointed cones.
 
 A corner is given by a fractional base point f and a tableau R with
-x = f + R s, s >= 0. Its LP relaxation has a unique vertex and one
+x = f + R s, s >= 0. Its LP relaxation has the vertex (f, 0) and one
 recession ray per nonbasic variable, so cut depth reduces to a closed
 form: the vertex of the shrunken body moves linearly along a fixed
-direction until it crosses the cut.
+direction, read off the body's rows, until it crosses the cut.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 
 from .depth import DepthResult, from_standard_form
 from .errors import Singular
-from .linalg import as_matrix, as_vector, solve_square
+# unused here: kept because benchmarks/tracer.py wraps cutdepth.corner.solve_square
+from .linalg import as_matrix, as_vector, solve_square  # noqa: F401
 from .polyhedron import AffineSpace, NormalizedPolyhedron, StandardFormModel
 
 INTEGRALITY_TOL = 1e-9
@@ -73,10 +74,11 @@ def standard_form_model(data: CornerData) -> StandardFormModel:
 class CornerCone:
     """The relaxation's vertex, shrink direction, and recession rays.
 
-    The vertex solves the stacked (rows; equalities) system; the depth
-    direction satisfies normals @ q = -1 on every row, so the vertex of the
-    body shrunk by lam is vertex + lam * depth_direction. Ray j is
-    (tableau column j, e_j) in (x, s) coordinates.
+    Every row is tight at the vertex (f, 0). Ray j is (tableau column j, e_j)
+    in (x, s) coordinates, and row j, the bound s_j >= 0 projected onto the
+    hull, is orthogonal to every other ray; so q = rays @ w with
+    w_j = -1 / (row j @ ray j) has normals @ q = -1, and the vertex of the
+    body shrunk by lam is vertex + lam * depth_direction.
     """
 
     body: NormalizedPolyhedron
@@ -101,18 +103,14 @@ def build_corner(data: CornerData) -> CornerCone:
     """Assemble the cone: normalized body, vertex, and depth direction."""
     model = standard_form_model(data)
     body = from_standard_form(model)
-    m, n = data.num_basic, data.num_nonbasic
+    n = data.num_nonbasic
     if body.num_rows != n:
         raise Singular(
             f"expected {n} inequality rows for a simple cone, got {body.num_rows}"
         )
-    stacked = np.vstack([body.normals, model.space.A])
-    # column 0 gives the vertex, column 1 the depth direction (normals @ q = -1)
-    rhs = np.zeros((n + m, 2))
-    rhs[:, 0] = np.concatenate([body.offsets, model.space.b])
-    rhs[:n, 1] = -1.0
-    vertex, depth_direction = solve_square(stacked, rhs).T
     rays = np.vstack([data.tableau, np.eye(n)])
+    vertex = np.concatenate([data.base_point, np.zeros(n)])
+    depth_direction = rays @ (-1.0 / np.einsum("ij,ji->i", body.normals, rays))
     return CornerCone(body, vertex, depth_direction, rays)
 
 

@@ -20,7 +20,8 @@ from .linalg import as_matrix, as_vector, cholesky_factor, cholesky_solve_factor
 
 # Rows whose projected normal is shorter than this are orthogonal to the hull.
 DEGENERATE_NORM_TOL = 1e-10
-# Unit-norm and in-hull tolerances for normalized rows.
+# Unit-norm and in-hull tolerances for normalized rows; the in-hull one
+# bounds the cosine between a normalized row and each hull row.
 UNIT_NORM_TOL = 1e-10
 IN_HULL_TOL = 1e-9
 # Tolerance when checking a fixed variable's implied value against its bound.
@@ -147,8 +148,9 @@ class NormalizedPolyhedron:
             if float(np.abs(norms - 1.0).max()) > UNIT_NORM_TOL:
                 raise ValueError("normalized rows must have unit Euclidean norm")
             if self.space.num_equalities:
-                resid = float(np.abs(self.space.A @ self.normals.T).max())
-                if resid > IN_HULL_TOL:
+                A = self.space.A
+                hull_norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+                if (np.abs(A @ self.normals.T) > IN_HULL_TOL * hull_norms[:, None]).any():
                     raise ValueError("normalized rows must lie in the hull's direction space")
 
     @property

@@ -460,10 +460,16 @@ def test_malformed_input_exits_2(argv, fields, tmp_path):
         ["bound", "integer-hull", "--n", "3", "--basis", "1,0;0,nan"],
         ["verify", "cone", "--tol", "nan"],
         ["verify", "lemma-x", "--tol", "inf"],
+        # options that leave a suite no check to run
+        ["verify", "lemma-x", "--n-max", "1"],
+        ["verify", "cone", "--n-max", "1"],
+        ["verify", "corner-equivalence", "--count", "0"],
+        ["verify", "split-dominance", "--count", "-1"],
     ],
     ids=[
         "generate-seed", "corner-equivalence-seed", "split-dominance-seed", "basis-nan",
-        "tol-nan", "tol-inf",
+        "tol-nan", "tol-inf", "lemma-x-no-check", "cone-no-check",
+        "corner-equivalence-no-check", "split-dominance-no-check",
     ],
 )
 def test_bad_option_value_exits_2(argv, capsys):

@@ -10,6 +10,7 @@ from cutdepth.corner import (
     standard_form_model,
 )
 from cutdepth.depth import DepthKind, cut_depth_standard_form
+from cutdepth.lp import row_scale
 from cutdepth.polyhedron import Cut, shrink
 
 SQ6 = math.sqrt(6.0)
@@ -52,27 +53,44 @@ class TestBuildCorner:
 
     def test_invariants(self):
         rng = np.random.default_rng(4)
-        for _ in range(20):
-            m = int(rng.integers(1, 4))
-            n = int(rng.integers(2, 5))
-            data = _random_corner(rng, m, n)
+        # tableau entries up to 2, 1e3 and 1e5; each residual is held to a
+        # tolerance relative to its row's scale (lp.row_scale)
+        for top in (2.0, 1e3, 1e5):
+            for _ in range(20):
+                m = int(rng.integers(1, 4))
+                n = int(rng.integers(2, 5))
+                data = _random_corner(rng, m, n)
+                data = CornerData(data.base_point, data.tableau * (top / 2.0))
+                cone = build_corner(data)
+                body, q = cone.body, cone.depth_direction
+                N, A, ones = body.normals, body.space.A, np.ones(n)
+                # all rows tight at the vertex
+                tight = body.offsets - N @ cone.vertex
+                assert (np.abs(tight) <= 1e-12 * row_scale(N, body.offsets, cone.vertex)).all()
+                # normals @ q = -1 and equalities @ q = 0
+                assert (np.abs(N @ q + ones) <= 1e-12 * row_scale(N, ones, q)).all()
+                assert (np.abs(A @ q) <= 1e-12 * row_scale(A, np.zeros(m), q)).all()
+                # q is a nonnegative combination of the rays: its s-part is the
+                # coefficient vector
+                s_part = q[m:]
+                assert s_part.min() > 0.0
+                np.testing.assert_allclose(cone.rays @ s_part, q, rtol=1e-15)
+
+    def test_vertex_is_the_base_point(self):
+        rng = np.random.default_rng(5)
+        for data in [_random_corner(rng, 3, 5) for _ in range(10)] + [_cli_corner()[0]]:
+            expected = np.concatenate([data.base_point, np.zeros(data.num_nonbasic)])
+            assert np.array_equal(build_corner(data).vertex, expected)
+
+    def test_direction_matches_the_stacked_solve(self):
+        rng = np.random.default_rng(6)
+        corners = [
+            _random_corner(rng, int(rng.integers(1, 6)), int(rng.integers(2, 9))) for _ in range(50)
+        ]
+        for data in corners + [_cli_corner()[0]]:
             cone = build_corner(data)
-            body = cone.body
-            # all rows tight at the vertex
-            tight = body.offsets - body.normals @ cone.vertex
-            assert np.abs(tight).max() <= 1e-8
-            # normals @ q = -1 and equalities @ q = 0
-            np.testing.assert_allclose(
-                body.normals @ cone.depth_direction, -np.ones(n), atol=1e-8
-            )
-            assert np.abs(body.space.A @ cone.depth_direction).max() <= 1e-8
-            # q is a nonnegative combination of the rays: its s-part is the
-            # coefficient vector
-            s_part = cone.depth_direction[m:]
-            assert s_part.min() >= -1e-7
-            np.testing.assert_allclose(
-                cone.rays @ s_part, cone.depth_direction, atol=1e-7
-            )
+            reference = _stacked_direction(cone)
+            assert np.abs(cone.depth_direction - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_shrunken_vertex_moves_linearly(self):
         cone = build_corner(CornerData([0.5], [[1.0, -1.0]]))
@@ -142,6 +160,19 @@ class TestAgainstDepthLp:
             if closed.kind == DepthKind.FINITE:
                 assert closed.value == pytest.approx(via_lp.value, abs=1e-7)
 
+    def test_large_corner_agrees(self):
+        # the 40x80 corner of the cli-corner benchmark, seed 1, and the
+        # rounding cuts of its first 10 rows
+        data, cuts = _cli_corner()
+        cone = build_corner(data)
+        model = standard_form_model(data)
+        for cut in cuts[:10]:
+            closed = corner_cut_depth(cone, cut)
+            full = Cut(np.concatenate([np.zeros(data.num_basic), cut.coeffs]), cut.rhs)
+            via_lp = cut_depth_standard_form(model, full)
+            assert closed.kind == via_lp.kind == DepthKind.FINITE
+            assert closed.value == pytest.approx(via_lp.value, rel=1e-9)
+
 
 def _random_corner(rng, m, n):
     while True:
@@ -151,6 +182,28 @@ def _random_corner(rng, m, n):
         rows_ok = frac & (np.abs(tableau).max(axis=1) > 0)
         if rows_ok.any():
             return CornerData(base, tableau)
+
+
+def _cli_corner(seed=1, basic=40, nonbasic=80):
+    """A seeded corner drawn as the cli-corner benchmark draws its instance,
+    with the rounding cut alpha @ s >= 1 of each of its rows."""
+    rng = np.random.default_rng(seed)
+    tableau = rng.integers(-16, 17, (basic, nonbasic)) / 8.0
+    base = rng.integers(-16, 16, basic) + rng.integers(1, 8, basic) / 8.0
+    frac = base - np.floor(base)
+    cuts = [
+        Cut(np.where(r >= 0, r / (1.0 - f), -r / f), 1.0) for r, f in zip(tableau, frac)
+    ]
+    return CornerData(base, tableau), cuts
+
+
+def _stacked_direction(cone):
+    """The depth direction as a square solve of the stacked system gives it:
+    normals @ q = -1 on every row and A @ q = 0 on every hull row."""
+    body = cone.body
+    stacked = np.vstack([body.normals, body.space.A])
+    rhs = np.concatenate([-np.ones(body.num_rows), np.zeros(body.space.num_equalities)])
+    return np.linalg.solve(stacked, rhs)
 
 
 def _valid_cut(rng, data):

@@ -356,6 +356,34 @@ class TestScaleInvariance:
                     expected = t * reference.value
                     assert result.value == pytest.approx(expected, rel=1e-9, abs=1e-12 * t)
 
+    @pytest.mark.parametrize(
+        "depth_of",
+        [
+            lambda space, lo, hi, cut: cut_depth(
+                normalize(HPolyhedron(np.vstack([-np.eye(6), np.eye(6)]), [*-lo, *hi], space)), cut
+            ),
+            lambda space, lo, hi, cut: cut_depth_standard_form(
+                StandardFormModel(space, lo, hi), cut
+            ),
+        ],
+        ids=["inequality-lp", "standard-form-lp"],
+    )
+    def test_kind_and_value_do_not_depend_on_the_hull_rows_scale(self, depth_of):
+        # (t L, t xi) is the same hull as (L, xi) for every t > 0
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            lo, hi = rng.uniform(-1.0, 0.0, 6), rng.uniform(1.0, 2.0, 6)
+            L, x0 = rng.standard_normal((3, 6)), rng.uniform(lo, hi)
+            a = rng.standard_normal(6)
+            cut = Cut(a, float(a @ x0) + float(rng.uniform(-1.0, 3.0)))
+            reference = None
+            for t in 10.0 ** np.arange(-6, 9, 2):
+                result = depth_of(AffineSpace(t * L, t * (L @ x0)), lo, hi, cut)
+                reference = reference or result
+                assert result.kind == reference.kind, t
+                if reference.kind == DepthKind.FINITE:
+                    assert result.value == pytest.approx(reference.value, rel=1e-12, abs=1e-12)
+
     def test_box_cut_that_removes_nothing(self):
         for h in (1e-8, 1.0, 1e8):
             Q = box([0.0, 0.0], [h, h])
