@@ -8,10 +8,12 @@ Instances are JSON objects with exactly one polyhedron form:
   corner:      {"f": [...], "R": [[...]]}
 
 plus optional "cuts" [{"alpha", "beta"}], "points" [[...]] and
-"disjunctions" [{"pi", "pi0"}]. Cuts and points live in the space of all the
-instance's variables, (x, s) for a corner; a corner cut given on s alone is
-lifted at parse time with zero coefficients on the basic variables, so every
-parsed cut has `Instance.dim` coefficients. Reports are plain JSON written
+"disjunctions" [{"pi", "pi0"}]. Every number must be finite: the constants
+NaN, Infinity and -Infinity, and literals beyond the double range, are
+rejected. Cuts and points live in the space of all the instance's
+variables, (x, s) for a corner; a corner cut given on s alone is lifted at
+parse time with zero coefficients on the basic variables, so every parsed
+cut has `Instance.dim` coefficients. Reports are plain JSON written
 with stable key order so equal runs produce identical bytes.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +30,10 @@ from ..bounds import Disjunction
 from ..corner import CornerData, embed_cut_coeffs
 from ..errors import CutDepthError, InstanceError
 from ..polyhedron import AffineSpace, Cut, HPolyhedron, StandardFormModel
+
+# the largest finite double: a number outside [-_LARGEST, _LARGEST] (and so
+# NaN, an infinity or an integer too large to convert) is rejected
+_LARGEST = sys.float_info.max
 
 INEQUALITY = "inequality"
 STANDARD = "standard"
@@ -55,6 +62,8 @@ class Instance:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{where}: expected a number, got {value!r}")
+    if not -_LARGEST <= value <= _LARGEST:
+        raise InstanceError(f"{where}: expected a finite number")
     return float(value)
 
 
@@ -72,10 +81,21 @@ def _vector(obj, where: str, extended: bool = False) -> np.ndarray:
     parser = _extended_number if extended else _number
     # plain numbers pass as they are; only an entry that needs the parser
     # gets its position named, so no string is built for a valid entry
-    return np.array(
-        [v if type(v) in (int, float) else parser(v, f"{where}[{i}]") for i, v in enumerate(obj)],
-        dtype=float,
-    )
+    values = [
+        v if type(v) in (int, float) else parser(v, f"{where}[{i}]") for i, v in enumerate(obj)
+    ]
+    try:
+        # a NaN, an infinity or an integer beyond the double range among the
+        # plain numbers puts their sum out of range or fails its conversion
+        if -_LARGEST <= sum(values) <= _LARGEST:
+            return np.array(values, dtype=float)
+    except OverflowError:
+        pass
+    # out of range: name the plain number at fault, if one is
+    for i, v in enumerate(obj):
+        if type(v) in (int, float):
+            _number(v, f"{where}[{i}]")
+    return np.array(values, dtype=float)
 
 
 def _matrix(obj, where: str) -> np.ndarray:
@@ -230,16 +250,23 @@ def parse_instance(data) -> Instance:
     return inst
 
 
+def _reject_constant(token: str):
+    """json's hook for NaN, Infinity and -Infinity, which no instance may hold."""
+    raise ValueError(f'{token} is not a finite number; unbounded bounds are "inf" and "-inf"')
+
+
 def load_instance(path: str) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise InstanceError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # a rejected constant, or text that is not UTF-8
+        raise InstanceError(f"{path}: {exc}") from exc
     return parse_instance(data)
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,9 +27,11 @@ from ..bounds import (
 )
 from ..constructions import depth_lower_bound_cone
 from ..corner import build_corner, corner_cut_depth, standard_form_model
-from ..depth import DepthKind, cut_depth, cut_depth_standard_form, from_standard_form, point_depth
+from ..depth import DepthKind, cut_depth, from_standard_form, point_depth
+# unused here: kept because benchmarks/tracer.py wraps cutdepth.cli.main.cut_depth_standard_form
+from ..depth import cut_depth_standard_form  # noqa: F401
 from ..errors import CutDepthError, InstanceError
-from ..polyhedron import AffineSpace, Cut, StandardFormModel, normalize
+from ..polyhedron import AffineSpace, Cut, NormalizedPolyhedron, normalize
 from . import files, suites
 from .files import CORNER, INEQUALITY, Instance
 
@@ -37,28 +40,7 @@ BOUND_TOL = 1e-7
 SUITE_OPTIONS = ("n_max", "epsilon", "count", "seed", "tol")
 
 
-def _sanitize(obj):
-    """JSON-safe copy: arrays to lists, non-finite floats to strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(float(v)) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        value = float(obj)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
 def _emit(payload: dict, out: str | None) -> None:
-    payload = _sanitize(payload)
     if out:
         files.write_json(payload, out)
     else:
@@ -83,8 +65,8 @@ def _depth_result_dict(result) -> dict:
     return {
         "kind": result.kind.value,
         "value": result.value,
-        "point": None if result.point is None else list(result.point),
-        "ray": None if result.ray is None else list(result.ray),
+        "point": None if result.point is None else result.point.tolist(),
+        "ray": None if result.ray is None else result.ray.tolist(),
     }
 
 
@@ -115,24 +97,14 @@ def _cut_bounds(inst: Instance, cut: Cut) -> dict:
     return {}
 
 
-def _model(inst: Instance):
-    """The instance prepared once for the LP: the normalized inequality
-    polyhedron, or else the standard-form model (over (x, s) for a corner),
-    whose cut-free LP is solved once and shared by every cut."""
+def _body(inst: Instance) -> NormalizedPolyhedron:
+    """The instance's normalized body, over (x, s) for a corner; its
+    cut-free LP is solved once and shared by every cut."""
     if inst.kind == INEQUALITY:
         return normalize(inst.polyhedron)
     if inst.kind == CORNER:
-        return standard_form_model(inst.polyhedron)
-    return inst.polyhedron
-
-
-def _solve_cut(inst: Instance, model, cut: Cut, method: str):
-    """Depth of one cut; model is _model(inst), built once per instance."""
-    if method == "lp":
-        if isinstance(model, StandardFormModel):
-            return cut_depth_standard_form(model, cut)
-        return cut_depth(model, cut)
-    return corner_cut_depth(build_corner(inst.polyhedron), cut)
+        return from_standard_form(standard_form_model(inst.polyhedron))
+    return from_standard_form(inst.polyhedron)
 
 
 def cmd_depth(args) -> int:
@@ -144,11 +116,14 @@ def cmd_depth(args) -> int:
         raise InstanceError("closed-form depth requires a corner instance; use --method lp")
     primary = "lp" if method == "both" else method
     # built even without cuts, so that a malformed body is reported either way
-    model = _model(inst) if primary == "lp" else None
+    body = _body(inst) if primary == "lp" else None
     records = []
     disagreements = 0
     for index, cut in enumerate(inst.cuts):
-        result = _solve_cut(inst, model, cut, primary)
+        if body is None:
+            result = corner_cut_depth(build_corner(inst.polyhedron), cut)
+        else:
+            result = cut_depth(body, cut)
         record = {"index": index, **_depth_result_dict(result)}
         bounds = _cut_bounds(inst, cut)
         record["bounds"] = bounds
@@ -159,7 +134,7 @@ def cmd_depth(args) -> int:
         else:
             record["bound_respected"] = None
         if method == "both":
-            other = _solve_cut(inst, model, cut, "closed-form")
+            other = corner_cut_depth(build_corner(inst.polyhedron), cut)
             agrees = other.kind == result.kind and (
                 result.kind != DepthKind.FINITE
                 or abs(other.value - result.value) <= BOUND_TOL
@@ -190,22 +165,22 @@ def cmd_depth(args) -> int:
 
 def cmd_point_depth(args) -> int:
     inst = files.load_instance(args.input)
-    body = _model(inst)
-    if isinstance(body, StandardFormModel):
-        body = from_standard_form(body)
-    records = []
+    body = _body(inst)
+    records, rows = [], []
     for index, point in enumerate(inst.points):
         try:
             value = point_depth(body, point)
         except CutDepthError as exc:
             raise InstanceError(f"points[{index}]: {exc}") from exc
-        records.append({"index": index, "point": list(point), "depth": value})
+        # +inf, for a body with no rows, is the one non-finite value a report holds
+        depth = value if math.isfinite(value) else "inf"
+        records.append({"index": index, "point": point.tolist(), "depth": depth})
+        rows.append({"point": index, "depth": f"{value:.9g}"})
     payload = {
         "command": "point-depth",
         "instance": inst.raw,
         "point_records": records,
     }
-    rows = [{"point": r["index"], "depth": f"{r['depth']:.9g}"} for r in records]
     _report(payload, args.out, rows, ["point", "depth"])
     return 0
 
@@ -245,7 +220,7 @@ def cmd_bound_split(args) -> int:
         records.append(
             {
                 "index": index,
-                "pi": list(d.coeffs),
+                "pi": d.coeffs.tolist(),
                 "pi0": d.threshold,
                 "kind": "covers-hull" if bound.is_covers_hull else "finite",
                 "value": bound.value,
@@ -275,7 +250,7 @@ def cmd_bound_intersection(args) -> int:
         records.append({"index": index, "value": value, "note": note})
     payload = {
         "command": "bound intersection",
-        "edge_lengths": list(steepest_edge_lengths(data.tableau)),
+        "edge_lengths": steepest_edge_lengths(data.tableau).tolist(),
         "bound_records": records,
     }
     rows = [
@@ -331,7 +306,7 @@ def cmd_verify(args) -> int:
         _emit(
             {
                 "command": f"verify {args.suite}",
-                "check_records": [r.as_dict() for r in records],
+                "check_records": [asdict(r) for r in records],
             },
             args.out,
         )
@@ -342,23 +317,20 @@ def cmd_generate(args) -> int:
     if args.kind == "cone":
         cone = depth_lower_bound_cone(args.n, args.epsilon)
         payload = {
-            "polyhedron": {
-                "A": [list(row) for row in cone.polyhedron.A],
-                "b": list(cone.polyhedron.b),
-            },
-            "cuts": [{"alpha": list(cone.cut.coeffs), "beta": cone.cut.rhs}],
-            "points": [list(cone.reference_point)],
+            "polyhedron": {"A": cone.polyhedron.A.tolist(), "b": cone.polyhedron.b.tolist()},
+            "cuts": [{"alpha": cone.cut.coeffs.tolist(), "beta": cone.cut.rhs}],
+            "points": [cone.reference_point.tolist()],
         }
     else:
         rng = np.random.default_rng(args.seed)
         corner = suites.random_corner(rng, 1)  # index 1: plain, nonempty corner
         payload = {
             "polyhedron": {
-                "f": list(corner.data.base_point),
-                "R": [list(row) for row in corner.data.tableau],
+                "f": corner.data.base_point.tolist(),
+                "R": corner.data.tableau.tolist(),
             },
             "cuts": [
-                {"alpha": list(cut.coeffs), "beta": cut.rhs}
+                {"alpha": cut.coeffs.tolist(), "beta": cut.rhs}
                 for cut, kind in corner.cuts
                 if kind == "finite"
             ],

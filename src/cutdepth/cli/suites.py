@@ -40,16 +40,6 @@ class CheckRecord:
     tolerance: float
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": self.measured,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "note": self.note,
-        }
-
 
 @dataclass
 class RandomCorner:

@@ -316,8 +316,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
         # phase 1 maximizes minus the sum of the artificials
         T[m] = -T[:m][art].sum(axis=0)
         phase1 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS, priced)
-        if phase1.unbounded is not None:  # pragma: no cover - phase 1 objective is bounded
-            raise RuntimeError("phase 1 reported unbounded; tableau is corrupt")
         # an artificial is row r's violation; compare it with the size of the
         # terms of row r at the phase 1 point, so each row has its own scale
         point = np.zeros(ids)

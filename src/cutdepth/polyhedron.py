@@ -63,11 +63,6 @@ class AffineSpace:
         """Cholesky factor of A A^T, shared by all projections onto the hull."""
         return cholesky_factor(self.A @ self.A.T)
 
-    def contains(self, x: np.ndarray, tol: float) -> bool:
-        if self.num_equalities == 0:
-            return True
-        return float(np.abs(self.A @ x - self.b).max()) <= tol
-
 
 def _project_rows(space: AffineSpace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project every row a_i of rows onto the direction space { d : A d = 0 }.

@@ -155,6 +155,11 @@ class TestDepthCommand:
         path.write_text("{not json")
         assert main(["depth", "--in", str(path)]) == 2
 
+    def test_text_that_is_not_utf8_is_input_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(SQUARE).replace("points", "p\xf6ints").encode("latin-1"))
+        assert main(["depth", "--in", str(path)]) == 2
+
     def test_ineligible_cut_does_not_abort_depth(self, tmp_path):
         # coeffs / rhs falls below the intersection bound's coefficient
         # tolerance on the second cut, so only the first gets that bound
@@ -270,6 +275,23 @@ class TestPointDepthCommand:
         header = "point  depth"
         assert capsys.readouterr().out == f"{header}\n{'-' * len(header)}\n"
 
+    def test_body_without_rows_has_infinite_depth(self, tmp_path, capsys):
+        path = tmp_path / "free.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "polyhedron": {"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]},
+                    "points": [[0.5, -3.0]],
+                }
+            )
+        )
+        assert main(["point-depth", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2].split() == ["0", "inf"]
+        out = tmp_path / "points.json"
+        assert main(["point-depth", "--in", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["point_records"] == [{"index": 0, "point": [0.5, -3.0], "depth": "inf"}]
+
     def test_outside_point_is_input_error(self, tmp_path):
         path = tmp_path / "inst.json"
         data = dict(SQUARE)
@@ -384,6 +406,8 @@ class TestVerifyCommands:
         report = json.loads(out.read_text())
         assert len(report["check_records"]) == 2
         assert all(r["passed"] for r in report["check_records"])
+        keys = ["name", "passed", "measured", "expected", "tolerance", "note"]
+        assert all(list(r) == keys for r in report["check_records"])
 
 
 class TestGenerateCommands:
@@ -431,24 +455,36 @@ class TestGenerateCommands:
         (["bound", "integer-hull", "--n", "2", "--basis", "1,0;0"], None),
         (["generate", "cone", "--n", "3", "--epsilon", "0.3"], None),
         (["verify", "cone", "--epsilon", "0.5"], None),
+        # json.dumps writes these as the constants Infinity, NaN and -Infinity
+        (["point-depth", "--in"], {"points": [[math.inf, 0.5]]}),
+        (["point-depth", "--in"], {"points": [[math.nan, 0.5]]}),
+        (
+            ["point-depth", "--in"],
+            {"polyhedron": {"lower": [0, -math.inf], "upper": [1, 1]}, "points": [[0.5, 0.5]]},
+        ),
+        # a literal beyond the double range, which json reads as inf
+        (["point-depth", "--in"], '{"polyhedron": {"A": [[1]], "b": [1]}, "points": [[1e400]]}'),
     ],
     ids=[
         "cuts-int", "cuts-null", "points-int", "points-null", "disjunctions-int",
         "disjunctions-null", "pi-zero", "pi-empty", "basis-ragged",
-        "generate-epsilon", "verify-epsilon",
+        "generate-epsilon", "verify-epsilon", "point-infinity", "point-nan",
+        "lower-minus-infinity", "point-overflow",
     ],
 )
-def test_malformed_input_exits_2(argv, fields, tmp_path):
-    # the instance is SQUARE with fields replaced, appended after --in
+def test_malformed_input_exits_2(argv, fields, tmp_path, capsys):
+    # the instance is SQUARE with fields replaced, or else the file's text,
+    # appended after --in
     if fields is not None:
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps({**SQUARE, **fields}))
+        path.write_text(fields if isinstance(fields, str) else json.dumps({**SQUARE, **fields}))
         argv = [*argv, str(path)]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects an option value
         code = exc.code
     assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

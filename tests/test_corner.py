@@ -10,7 +10,7 @@ from cutdepth.corner import (
     standard_form_model,
 )
 from cutdepth.depth import DepthKind, cut_depth_standard_form
-from cutdepth.lp import row_scale
+from cutdepth.lp import LpStatus, row_scale
 from cutdepth.polyhedron import Cut, shrink
 
 SQ6 = math.sqrt(6.0)
@@ -172,6 +172,28 @@ class TestAgainstDepthLp:
             via_lp = cut_depth_standard_form(model, full)
             assert closed.kind == via_lp.kind == DepthKind.FINITE
             assert closed.value == pytest.approx(via_lp.value, rel=1e-9)
+
+    def test_phase_1_without_a_leaving_row(self):
+        # phase 1 of this cone's cut-free program prices in a column whose
+        # reduced cost is roundoff and finds no row to leave; its point is
+        # then judged by the feasibility test, as any phase-1 point is
+        data = CornerData([-1.625], [[-10.25, 16.375, 81.625, 4512.875, -306.75, 0.5]])
+        cone = build_corner(data)
+        model = standard_form_model(data)
+        assert model.body.chebyshev.status == LpStatus.UNBOUNDED
+        on_s = np.array([0.0, 1, 1, 1, 1, 1, 1])
+        cuts = [
+            (Cut(on_s, 1.0), DepthKind.FINITE),
+            (Cut(on_s, -1.0), DepthKind.NOT_VIOLATED),
+            (Cut(np.ones(7), 1.0), DepthKind.UNBOUNDED),
+            (Cut(np.eye(7)[0], 5.0), DepthKind.UNBOUNDED),
+        ]
+        for cut, kind in cuts:
+            closed = corner_cut_depth(cone, cut)
+            via_lp = cut_depth_standard_form(model, cut)
+            assert closed.kind == via_lp.kind == kind
+            if kind == DepthKind.FINITE:
+                assert closed.value == pytest.approx(via_lp.value, rel=1e-12)
 
 
 def _random_corner(rng, m, n):

@@ -30,16 +30,10 @@ class TestAffineSpace:
         space = AffineSpace.full_space(3)
         assert space.dim == 3
         assert space.num_equalities == 0
-        assert space.contains(np.array([1.0, 2.0, 3.0]), 0.0)
 
     def test_redundant_rows_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             AffineSpace([[1.0, 1.0], [2.0, 2.0]], [0.0, 0.0])
-
-    def test_contains(self):
-        space = AffineSpace([[1.0, 1.0]], [1.0])
-        assert space.contains(np.array([0.3, 0.7]), 1e-9)
-        assert not space.contains(np.array([0.3, 0.6]), 1e-9)
 
 
 class TestProjection:
