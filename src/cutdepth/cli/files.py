@@ -271,6 +271,11 @@ def load_instance(path: str) -> Instance:
 
 
 def write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    """Write the payload to path; a path that cannot be written is
+    malformed input."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise InstanceError(f"{path}: {exc}") from exc

@@ -3,8 +3,9 @@ re-optimizes an optimum after one more row, and solve_dual, which solves a
 program with many more rows than columns through its LP dual.
 
 Maximizes a linear objective subject to <=, =, >= rows over free or
-nonnegative variables; free variables are split into positive and negative
-parts. The tableau is condensed (Tucker form): it stores only the nonbasic
+nonnegative variables, one column per variable; a free column enters in
+whichever direction improves the objective and, once basic, never
+leaves. The tableau is condensed (Tucker form): it stores only the nonbasic
 columns and the rhs, one row per basic variable plus a reduced-cost row, so
 a pivot touches m x (nonbasic + 1) entries and never the identity of the
 basic columns. Deterministic: Dantzig pricing, leaving-row ties broken by
@@ -99,29 +100,22 @@ class LinearProgram:
     @cached_property
     def _layout(self) -> "_Layout":
         """How solve lays this program out as columns; see _Layout."""
-        free = np.fromiter(map(_IS_FREE.__getitem__, self.domains), bool, self.num_cols)
-        width = np.where(free, 2, 1)
-        var = np.repeat(np.arange(self.num_cols), width)
-        sign = np.ones(var.shape[0])
-        minus = np.cumsum(width)[free] - 1
-        sign[minus] = -1.0
-        ns = var.shape[0]
+        n = self.num_cols
         row_sign = np.where(self.rhs < 0.0, -1.0, 1.0)
         sense = np.fromiter(map(_SENSE.__getitem__, self.relations), float, self.num_rows)
         sense *= row_sign
         ineq = sense != 0.0
         art = sense <= 0.0
-        slack_id = ns + np.cumsum(ineq) - 1
-        art_start = ns + int(ineq.sum())
+        slack_id = n + np.cumsum(ineq) - 1
+        art_start = n + int(ineq.sum())
         art_id = art_start + np.cumsum(art) - 1
         ids = art_start + int(art.sum())
-        partner = np.full(ids, -1)
-        partner[minus] = minus - 1
-        partner[minus - 1] = minus
+        free = np.zeros(ids, dtype=bool)
+        free[:n] = np.fromiter(map(_IS_FREE.__getitem__, self.domains), bool, n)
         # a slack enters its (negated) row with coefficient sense, an artificial
         # with +1; undoing the negation gives the dual of the row as written
         return _Layout(
-            var, sign, row_sign, sense, slack_id, art_id, art_start, ids, partner,
+            free, row_sign, sense, slack_id, art_id, art_start, ids,
             col_id=np.where(ineq, slack_id, art_id),
             dual_sign=np.where(ineq, sense, 1.0) * row_sign,
         )
@@ -171,19 +165,17 @@ class LpOutcome:
 
 class _Layout(NamedTuple):
     """How solve lays a program out as columns, by id: one structural column
-    per nonnegative variable and a +/- pair per free one, then a slack per
-    inequality row in row order, then an artificial per >= or = row; rows
-    with a negative rhs are negated first, which swaps <= and >=."""
+    per variable in program order, then a slack per inequality row in row
+    order, then an artificial per >= or = row; rows with a negative rhs are
+    negated first, which swaps <= and >=."""
 
-    var: np.ndarray  # program column of each structural column
-    sign: np.ndarray  # -1 on the negative part of a free variable
+    free: np.ndarray  # by id: whether the column is a free variable
     row_sign: np.ndarray  # -1 on negated rows
     sense: np.ndarray  # +1 <=, -1 >=, 0 = after the negation
     slack_id: np.ndarray  # per row; meaningful on inequality rows
     art_id: np.ndarray  # per row; meaningful on >= and = rows
     art_start: int
     ids: int  # number of column ids
-    partner: np.ndarray  # by id: the other part of a free variable, or -1
     col_id: np.ndarray  # per row: the slack, or on = rows the artificial
     dual_sign: np.ndarray  # per row: dual = dual_sign * reduced cost of col_id
 
@@ -215,14 +207,17 @@ _SKIPPED = _Phase(0, 0, False, None)
 
 def _run_simplex(
     T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, bland_threshold: int, budget: int,
-    priced: int,
+    priced: int, free: np.ndarray | None,
 ) -> _Phase:
     """Pivot until optimal or unbounded, at most budget times.
 
     T is the condensed tableau: row i < m belongs to the basic variable
     basis[i], column j to the nonbasic variable nonbasic[j] (original column
     ids), row m holds the reduced costs and the last column the rhs. Only
-    the first priced columns may enter; the rest are carried along.
+    the first priced columns may enter; the rest are carried along. free
+    masks the free column ids, None when there are none: a free column is
+    priced by minus its |reduced cost|, so it enters moving down when that
+    improves the objective, and a free basic variable never leaves.
     """
     m = basis.shape[0]
     reduced = T[m, :priced]
@@ -230,17 +225,23 @@ def _run_simplex(
     pivots = degenerate = 0
     bland = False
     while reduced.size:
+        gain = reduced
+        if free is not None:
+            gain = np.where(free[nonbasic[:priced]], -np.abs(reduced), reduced)
         if bland:
-            candidates = (reduced < -PIVOT_TOL).nonzero()[0]
+            candidates = (gain < -PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
                 break
             enter = int(candidates[nonbasic[candidates].argmin()])
         else:
-            enter = int(reduced.argmin())
-            if reduced[enter] >= -PIVOT_TOL:
+            enter = int(gain.argmin())
+            if gain[enter] >= -PIVOT_TOL:
                 break
-        col = T[:m, enter]
+        # the column signed by the direction in which the entering variable moves
+        col = T[:m, enter] if reduced[enter] < 0.0 else -T[:m, enter]
         eligible = (col > PIVOT_TOL).nonzero()[0]
+        if free is not None:
+            eligible = eligible[~free[basis[eligible]]]
         if eligible.size == 0:
             return _Phase(pivots, degenerate, bland, enter)
         ratios = rhs[eligible] / col[eligible]
@@ -268,12 +269,6 @@ def _stats(phase1: _Phase, phase2: _Phase, dropped_rows: int) -> SolveStats:
     )
 
 
-def _fold(lay: _Layout, values: np.ndarray, n: int) -> np.ndarray:
-    """Program variables from values by column id: x_j = x_j+ - x_j-."""
-    ns = lay.var.shape[0]
-    return np.bincount(lay.var, weights=lay.sign * values[:ns], minlength=n)
-
-
 def _optimum(
     lay: _Layout, n: int, T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -284,14 +279,14 @@ def _optimum(
     point[basis] = T[:m, -1]
     reduced = np.zeros(lay.ids)
     reduced[nonbasic] = T[m, :-1]
-    return _fold(lay, point, n), lay.dual_sign * reduced[lay.col_id]
+    return point[:n] + 0.0, lay.dual_sign * reduced[lay.col_id]  # + 0.0 turns -0.0 into 0.0
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve the program; see LpOutcome for the result contract."""
     m, n = lp.num_rows, lp.num_cols
     lay = lp._layout
-    ns = lay.var.shape[0]
+    free = lay.free if lay.free.any() else None
     art_start = lay.art_start
     le = lay.sense > 0.0
     ge = lay.sense < 0.0
@@ -300,11 +295,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     # the slacks of <= rows and the artificials start basic, the rest nonbasic
     basis = np.where(art, lay.art_id, lay.slack_id)
-    nonbasic = np.concatenate([np.arange(ns), lay.slack_id[ge]])
+    nonbasic = np.concatenate([np.arange(n), lay.slack_id[ge]])
     T = np.zeros((m + 1, nonbasic.shape[0] + 1))
-    T[:m, :ns] = lp.A[:, lay.var] * lay.sign * lay.row_sign[:, None]
+    T[:m, :n] = lp.A * lay.row_sign[:, None]
     ge_rows = ge.nonzero()[0]
-    T[ge_rows, np.arange(ns, ns + ge_rows.shape[0])] = -1.0
+    T[ge_rows, np.arange(n, n + ge_rows.shape[0])] = -1.0
     T[:m, -1] = b
 
     bland_threshold = 3 * (m + n)
@@ -315,12 +310,12 @@ def solve(lp: LinearProgram) -> LpOutcome:
     if art.any():
         # phase 1 maximizes minus the sum of the artificials
         T[m] = -T[:m][art].sum(axis=0)
-        phase1 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS, priced)
+        phase1 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS, priced, free)
         # an artificial is row r's violation; compare it with the size of the
         # terms of row r at the phase 1 point, so each row has its own scale
         point = np.zeros(ids)
         point[basis] = T[:m, -1]
-        magnitude = np.abs(lp.A[art]) @ np.bincount(lay.var, weights=point[:ns], minlength=n)
+        magnitude = np.abs(lp.A[art]) @ np.abs(point[:n])
         magnitude[ge[art]] += point[lay.slack_id[ge]]
         if (point[art_start:] > FEASIBILITY_TOL * np.maximum(b[art], magnitude)).any():
             return LpOutcome(LpStatus.INFEASIBLE, stats=_stats(phase1, _SKIPPED, 0))
@@ -347,34 +342,26 @@ def solve(lp: LinearProgram) -> LpOutcome:
         m = basis.shape[0]
 
     cost = np.zeros(ids)
-    cost[:ns] = lay.sign * lp.objective[lay.var]
+    cost[:n] = lp.objective
     T[m] = cost[basis] @ T[:m]
     T[m, :-1] -= cost[nonbasic]
-    phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, MAX_PIVOTS - phase1.pivots, priced)
+    budget = MAX_PIVOTS - phase1.pivots
+    phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, budget, priced, free)
     stats = _stats(phase1, phase2, len(drop))
     if phase2.unbounded is None:
         x, duals = _optimum(lay, n, T, basis, nonbasic)
-        # a part of a free variable whose other part is basic has minus a
-        # unit column and a zero reduced cost; it can never enter again, so
-        # the kept tableau leaves it out
-        basic = np.zeros(ids + 1, dtype=bool)
-        basic[basis] = True
-        live = (~basic[lay.partner[nonbasic]]).nonzero()[0]
-        if live.shape[0] < nonbasic.shape[0]:
-            T = T.take(np.append(live, -1), axis=1)
-            nonbasic = nonbasic[live]
         return LpOutcome(
             LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats,
             duals=duals, program=lp, tableau=T, basis=basis, nonbasic=nonbasic,
         )
     point = np.zeros(ids)
     point[basis] = T[:m, -1]
+    # a free column with a positive reduced cost improves moving down
+    step = 1.0 if T[m, phase2.unbounded] < 0.0 else -1.0
     ray = np.zeros(ids)
-    ray[nonbasic[phase2.unbounded]] = 1.0
-    ray[basis] = -T[:m, phase2.unbounded]
-    return LpOutcome(
-        LpStatus.UNBOUNDED, x=_fold(lay, point, n), ray=_fold(lay, ray, n), stats=stats
-    )
+    ray[nonbasic[phase2.unbounded]] = step
+    ray[basis] = -step * T[:m, phase2.unbounded]
+    return LpOutcome(LpStatus.UNBOUNDED, x=point[:n] + 0.0, ray=ray[:n] + 0.0, stats=stats)
 
 
 def dual(program: LinearProgram) -> tuple[LinearProgram, float]:
@@ -423,8 +410,8 @@ def solve_dual(program: LinearProgram) -> LpOutcome | None:
     x[~free] = np.maximum(x[~free], 0.0)
     slack = program.rhs - program.A @ x
     allowed = FEASIBILITY_TOL * row_scale(program.A, program.rhs, x)
-    # the = rows are the dual's free columns, laid out as +/- pairs
-    equal = dual_program._layout.var[dual_program._layout.sign < 0.0]
+    # the = rows are the dual's free columns
+    equal = dual_program._layout.free[: program.num_rows]
     if (slack < -allowed).any() or (slack[equal] > allowed[equal]).any():
         return None
     stats = replace(outcome.stats, dualized=True)
@@ -439,9 +426,10 @@ def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
     the new row's slack added to it, so a dual simplex on a copy of its
     tableau (base is left as it was) ends OPTIMAL or INFEASIBLE; duals
     cover the appended row last. The leaving row is the most negative
-    basic variable beyond its tolerance (parts of free variables may go
-    negative; they never leave), the entering column the least ratio of
-    reduced cost to row entry, ties to the lowest column id, and Bland's
+    basic variable beyond its tolerance (free variables may go negative;
+    they never leave), the entering column the least ratio of reduced cost
+    to |row entry| among negative entries and those on free columns, which
+    may enter either way, ties to the lowest column id, and Bland's
     rule (lowest-id leaving row) takes over after 3(m + n) degenerate
     pivots. The appended row may end violated by FEASIBILITY_TOL times its
     scale, taken as in solve's phase 1 (the larger of |rhs| and the sum of
@@ -462,17 +450,17 @@ def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
     rows, ids = lp.num_rows, lay.ids
     # the appended row is row `rows`; its slack, id `ids`, starts basic
     lay = lay._replace(
+        free=np.append(lay.free, False),
         ids=ids + 1,
-        partner=np.append(lay.partner, -1),
         col_id=np.append(lay.col_id, ids),
         dual_sign=np.append(lay.dual_sign, 1.0),
     )
     # the row whose slack or artificial each id is, -1 on structural ids
     owner = np.full(ids + 1, -1)
     owner[lay.col_id] = np.arange(rows + 1)
-    ns = lay.var.shape[0]
+    n = lp.num_cols
     a = np.zeros(ids)
-    a[:ns] = coeffs[lay.var] * lay.sign
+    a[:n] = coeffs
     m = base.basis.shape[0]
     T = np.empty((m + 2, base.tableau.shape[1]))
     T[:m] = base.tableau[:m]
@@ -485,22 +473,25 @@ def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
     nonbasic = base.nonbasic.copy()
     priced = int((nonbasic < lay.art_start).sum())
     m += 1
+    free = lay.free if lay.free.any() else None
 
     b = np.append(lp.rhs, rhs)
     abs_coeffs = np.abs(coeffs)
     # each row's allowance, with a spare zero at index -1 for structural ids
     allowed = np.zeros(rows + 2)
-    bland_threshold = 3 * (m + lp.num_cols)
+    bland_threshold = 3 * (m + n)
     pivots = degenerate = 0
     bland = False
     values = T[:m, -1]
     reduced = T[m, :priced]
     while True:
-        negative = ((values < 0.0) & (lay.partner[basis] < 0)).nonzero()[0]
+        negative = (values < 0.0).nonzero()[0]
+        if free is not None:
+            negative = negative[~free[basis[negative]]]
         if negative.size:
             point = np.zeros(ids + 1)
             point[basis] = values
-            size = np.abs(_fold(lay, point, lp.num_cols))
+            size = np.abs(point[:n])
             # a tableau row weighs the program's rows by its entries in their
             # slack and artificial columns, and its basic variable's own row by 1
             weigh = owner[nonbasic]
@@ -512,7 +503,7 @@ def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
             tol = allowed[own] + np.abs(T[negative, :-1]) @ allowed[weigh]
             negative = negative[values[negative] < -tol]
         if negative.size == 0:
-            x, duals = _optimum(lay, lp.num_cols, T, basis, nonbasic)
+            x, duals = _optimum(lay, n, T, basis, nonbasic)
             stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)
             return LpOutcome(
                 LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats, duals=duals
@@ -522,6 +513,9 @@ def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
         else:
             leave = int(negative[values[negative].argmin()])
         row = T[leave, :priced]
+        if free is not None:
+            # a free column may enter moving either way
+            row = np.where(free[nonbasic[:priced]], -np.abs(row), row)
         eligible = (row < -PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)

@@ -515,3 +515,15 @@ def test_bad_option_value_exits_2(argv, capsys):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["depth", "--in", None], ["generate", "corner"], ["verify", "lemma-x", "--n-max", "3"]],
+    ids=["depth", "generate-corner", "verify-lemma-x"],
+)
+def test_out_in_a_missing_directory_exits_2(argv, square_file, tmp_path, capsys):
+    argv = [square_file if arg is None else arg for arg in argv]
+    code = main([*argv, "--out", str(tmp_path / "missing" / "r.json")])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -399,6 +399,19 @@ class TestAddRow:
         assert out.objective == pytest.approx(2.0, abs=1e-12)
         assert lp.add_row(lp.solve(prog), [1.0, 1.0], -1.0).status == LpStatus.INFEASIBLE
 
+    def test_a_free_variable_enters_moving_down(self):
+        # max y s.t. y <= 1 over (x free, y >= 0): x is in no row and stays
+        # nonbasic, so meeting x + y <= 0.5 takes x down, not y
+        prog = make_lp([0.0, 1.0], [[0.0, 1.0]], [LESS_EQUAL], [1.0], [FREE, NONNEGATIVE])
+        base = lp.solve(prog)
+        assert base.status == LpStatus.OPTIMAL and 0 in base.nonbasic
+        out = lp.add_row(base, [1.0, 1.0], 0.5)
+        assert out.status == LpStatus.OPTIMAL
+        assert out.objective == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out.x, [-0.5, 1.0], atol=1e-12)
+        assert out.stats.dual_pivots == 1
+        assert_outcome_invariants(self._extended(prog, [1.0, 1.0], 0.5), out)
+
 
 def _highs(program):
     """(status, objective) of the program by SciPy's HiGHS."""
@@ -545,10 +558,12 @@ class TestDual:
 
 def _unbounded_programs(seed, count):
     """max c @ x over A x <= b, x >= 0 where column 0 of A is nonpositive
-    and c_0 > 0, so x_0 can grow without bound."""
+    and c_0 > 0, so x_0 can grow without bound; every other program also
+    comes with x_0 free and the signs of A[:, 0] and c_0 flipped, so that
+    x_0 falls without bound and the ray moves it down."""
     rng = np.random.default_rng(seed)
     programs = []
-    for _ in range(count):
+    for i in range(count):
         m, n = int(rng.integers(3, 12)), int(rng.integers(2, 8))
         A = rng.uniform(-1.0, 1.0, (m, n))
         A[:, 0] = -np.abs(A[:, 0])
@@ -556,6 +571,11 @@ def _unbounded_programs(seed, count):
         c[0] = abs(c[0]) + 0.1
         b = rng.uniform(0.5, 2.0, m)
         programs.append(make_lp(c, A, [LESS_EQUAL] * m, b, [NONNEGATIVE] * n))
+        if i % 2:
+            flip = np.ones(n)
+            flip[0] = -1.0
+            programs.append(make_lp(c * flip, A * flip, [LESS_EQUAL] * m, b,
+                                    [FREE] + [NONNEGATIVE] * (n - 1)))
     return programs
 
 
