@@ -54,6 +54,7 @@ from .errors import (
     InstanceError,
     IterationLimit,
     NotPositiveDefinite,
+    NumericOverflow,
     OnDisjunctionBoundary,
     PointOutsideHull,
     PointOutsidePolyhedron,
@@ -100,6 +101,7 @@ __all__ = [
     "LpStatus",
     "NormalizedPolyhedron",
     "NotPositiveDefinite",
+    "NumericOverflow",
     "OnDisjunctionBoundary",
     "PointOutsideHull",
     "PointOutsidePolyhedron",

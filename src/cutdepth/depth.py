@@ -38,7 +38,9 @@ class DepthResult:
     which removed points of arbitrary depth exist. LP results carry the
     SolveStats of the solve that produced them; a cut re-optimized from the
     body's cached optimum shows dual pivots only, no phase 1 or 2 pivots,
-    and one read off the depth LP's dual has dualized set.
+    and none at all when it removes the cached Chebyshev centre, which is
+    then its deepest point (lp.add_row answers it in O(n), with no tableau
+    copy); one read off the depth LP's dual has dualized set.
     """
 
     kind: DepthKind

@@ -19,6 +19,11 @@ class DegenerateConstraint(CutDepthError):
     inequality is either vacuous on the hull or empties the set."""
 
 
+class NumericOverflow(CutDepthError):
+    """A row norm or the hull's Gram matrix overflows double precision; the
+    input must be rescaled."""
+
+
 class IterationLimit(CutDepthError):
     """The simplex solver exceeded its pivot budget (numerical cycling)."""
 

@@ -11,7 +11,8 @@ a pivot touches m x (nonbasic + 1) entries and never the identity of the
 basic columns. Deterministic: Dantzig pricing, leaving-row ties broken by
 lowest basis id, switching to Bland's rule (by original column id) after a
 fixed number of degenerate pivots. An optimum keeps its final tableau, from
-which the row duals are read and from which add_row starts.
+which the row duals are read and from which add_row starts; a row that the
+optimum already meets costs add_row one dot product and no tableau copy.
 """
 
 from __future__ import annotations
@@ -422,16 +423,19 @@ def solve_dual(program: LinearProgram) -> LpOutcome | None:
 def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
     """Re-optimize base's program with the row coeffs @ x <= rhs appended.
 
-    base must be an optimum from solve. Its basis stays dual feasible with
-    the new row's slack added to it, so a dual simplex on a copy of its
-    tableau (base is left as it was) ends OPTIMAL or INFEASIBLE; duals
-    cover the appended row last. The leaving row is the most negative
-    basic variable beyond its tolerance (free variables may go negative;
-    they never leave), the entering column the least ratio of reduced cost
-    to |row entry| among negative entries and those on free columns, which
-    may enter either way, ties to the lowest column id, and Bland's
-    rule (lowest-id leaving row) takes over after 3(m + n) degenerate
-    pivots. The appended row may end violated by FEASIBILITY_TOL times its
+    base must be an optimum from solve. When base.x meets the row exactly
+    (coeffs @ base.x <= rhs, no tolerance), it stays optimal: the answer is
+    base's x (a copy) and objective, its duals with a 0 for the new row and
+    zero stats, in O(n) with no tableau copy. Otherwise its basis stays dual
+    feasible with the new row's slack added to it, so a dual simplex on a
+    copy of its tableau (base is left as it was) ends OPTIMAL or
+    INFEASIBLE; duals cover the appended row last. The leaving row is the
+    most negative basic variable beyond its tolerance (free variables may
+    go negative; they never leave), the entering column the least ratio of
+    reduced cost to |row entry| among negative entries and those on free
+    columns, which may enter either way, ties to the lowest column id, and
+    Bland's rule (lowest-id leaving row) takes over after 3(m + n)
+    degenerate pivots. The appended row may end violated by FEASIBILITY_TOL times its
     scale, taken as in solve's phase 1 (the larger of |rhs| and the sum of
     its |terms| at the current point), and the program's own rows, which
     base already meets, by roundoff (_ROUNDOFF times their scales); a basic
@@ -446,6 +450,12 @@ def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
     rhs = float(rhs)
     if coeffs.shape[0] != lp.num_cols:
         raise ValueError(f"coeffs has length {coeffs.shape[0]}, expected {lp.num_cols}")
+    if coeffs @ base.x <= rhs:
+        # the new row's slack joins the basis at a value >= 0; nothing moves
+        return LpOutcome(
+            LpStatus.OPTIMAL, x=base.x.copy(), objective=base.objective,
+            duals=np.append(base.duals, 0.0),
+        )
     lay = lp._layout
     rows, ids = lp.num_rows, lay.ids
     # the appended row is row `rows`; its slack, id `ids`, starts basic

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp
-from .errors import DegenerateConstraint
+from .errors import DegenerateConstraint, NumericOverflow
 from .linalg import as_matrix, as_vector, cholesky_factor, cholesky_solve_factored, frozen
 
 # Rows whose projected normal is shorter than this are orthogonal to the hull.
@@ -61,7 +61,11 @@ class AffineSpace:
     @cached_property
     def gram_factor(self) -> np.ndarray:
         """Cholesky factor of A A^T, shared by all projections onto the hull."""
-        return cholesky_factor(self.A @ self.A.T)
+        with np.errstate(over="ignore"):
+            gram = self.A @ self.A.T
+        if not np.isfinite(gram).all():
+            raise NumericOverflow("the hull rows' Gram matrix overflows; rescale the rows")
+        return cholesky_factor(gram)
 
 
 def _project_rows(space: AffineSpace, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +202,11 @@ def normalize(poly: HPolyhedron) -> NormalizedPolyhedron:
     """
     space = poly.space
     gammas, mus = _project_rows(space, poly.A)
-    norms = np.linalg.norm(gammas, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(gammas, axis=1)
+    overflow = np.flatnonzero(~np.isfinite(norms))
+    if overflow.size:
+        raise NumericOverflow(f"row {overflow[0]}: the norm of its normal overflows; rescale it")
     degenerate = np.flatnonzero(norms < DEGENERATE_NORM_TOL)
     if degenerate.size:
         raise DegenerateConstraint(

@@ -527,3 +527,32 @@ def test_out_in_a_missing_directory_exits_2(argv, square_file, tmp_path, capsys)
     code = main([*argv, "--out", str(tmp_path / "missing" / "r.json")])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+BIG_ROW = {"polyhedron": {"A": [[1e160, 0], [0, 1]], "b": [1, 1]}, "points": [[0, 0]]}
+BIG_CORNER = {
+    "polyhedron": {"f": [0.5], "R": [[1e200, 1]]},
+    "cuts": [{"alpha": [1, 1], "beta": 1}],
+    "points": [[0.5, 0, 0]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, instance",
+    [
+        (["point-depth"], BIG_ROW),
+        (["depth", "--method", "lp"], {**BIG_ROW, "cuts": [{"alpha": [1, 1], "beta": 0.5}]}),
+        (["depth"], BIG_CORNER),
+        (["depth", "--method", "both"], BIG_CORNER),
+        (["point-depth"], BIG_CORNER),
+    ],
+    ids=["row-point-depth", "row-depth", "corner-depth", "corner-depth-both", "corner-point-depth"],
+)
+def test_entries_whose_norms_overflow_exit_2(argv, instance, tmp_path, capsys):
+    # a row norm or a hull Gram entry beyond the double range; pytest turns
+    # numpy's overflow warning into an error, so the check must not trip it
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(instance))
+    assert main([*argv, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -418,6 +418,12 @@ def _cold(body, cut):
     return DepthKind.FINITE, max(outcome.objective, 0.0)
 
 
+def _through_the_centre(body, coeffs):
+    """The cut coeffs @ x >= coeffs @ centre at the body's cached Chebyshev
+    centre, whose depth is the body's own."""
+    return Cut(coeffs, float(coeffs @ body.chebyshev.x[: body.dim]))
+
+
 def _is_warm(result):
     return result.stats.phase1_pivots == result.stats.phase2_pivots == 0
 
@@ -439,11 +445,12 @@ class TestWarmStart:
                     -float(np.abs(a).sum()) - 1.0,  # misses the box
                 ][i % 3]
                 cuts.append(Cut(a, rhs))
-            yield body, cuts
+            yield body, cuts + [_through_the_centre(body, a)]
         # the Chebyshev centres of [0, 1] x [0, 3] fill a segment
         cuts = [Cut(c, r) for c, r in (([1, 0], 0.5), ([0, 1], 1.0), ([0, -1], -3.0),
                                        ([1, 1], 0.0), ([-1, 0], -0.25), ([0, 1], -1.0))]
-        yield box([0.0, 0.0], [1.0, 3.0]), cuts
+        body = box([0.0, 0.0], [1.0, 3.0])
+        yield body, cuts + [_through_the_centre(body, np.array([1.0, 1.0]))]
 
     def test_warm_matches_cold(self):
         kinds = set()
@@ -472,6 +479,18 @@ class TestWarmStart:
         assert again.value == first.value
         assert again.point.tobytes() == first.point.tobytes()
         assert again.stats == first.stats
+        # a cut that removes the centre is answered at the centre: editing
+        # the point it returns must not move the cached one
+        C = Cut(a, _through_the_centre(body, a).rhs + 0.1)
+        first = cut_depth(body, C)
+        point, centre = first.point.tobytes(), body.chebyshev.x.tobytes()
+        assert first.value == body.chebyshev.objective
+        first.point[:] = 7.0
+        again = cut_depth(body, C)
+        assert body.chebyshev.x.tobytes() == centre
+        assert again.point.tobytes() == point
+        assert again.value == first.value
+        assert again.stats == first.stats == lp.SolveStats()
 
     def test_empty_body_raises_on_every_call(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0]])

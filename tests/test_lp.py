@@ -392,6 +392,46 @@ class TestAddRow:
         assert out.objective == base.objective
         np.testing.assert_allclose(out.duals, [1.0, 1.0, 0.0])
 
+    def _optimum_and_row(self):
+        """A random bounded optimum, a row and the row's value at the optimum."""
+        rng = np.random.default_rng(5)
+        base = lp.solve(prog := random_bounded_instance(rng))
+        while base.status != LpStatus.OPTIMAL:
+            base = lp.solve(prog := random_bounded_instance(rng))
+        row = rng.standard_normal(prog.num_cols)
+        return prog, base, row, float(row @ base.x)
+
+    @pytest.mark.parametrize("slack", [0.5, 0.0], ids=["strictly-met", "met-exactly"])
+    def test_a_row_the_optimum_meets_keeps_it(self, slack):
+        prog, base, row, value = self._optimum_and_row()
+        before = base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes()
+        out = lp.add_row(base, row, value + slack)
+        assert out.status == LpStatus.OPTIMAL
+        assert out.x.tobytes() == base.x.tobytes()
+        assert not np.shares_memory(out.x, base.x)
+        assert out.objective == base.objective
+        assert out.duals.tobytes() == np.append(base.duals, 0.0).tobytes()
+        assert_duals_certify(prog, out, rows=(row, value + slack))
+        assert out.stats == lp.SolveStats()
+        assert before == (base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes())
+
+    def test_a_row_missed_by_roundoff_takes_the_dual_simplex(self, monkeypatch):
+        prog, base, row, value = self._optimum_and_row()
+        rhs = value - 1e-15 * abs(value)
+        assert rhs < value
+        # only the dual simplex reads its answer off a tableau
+        reads = []
+        optimum = lp._optimum
+        monkeypatch.setattr(lp, "_optimum", lambda *args: reads.append(1) or optimum(*args))
+        out = lp.add_row(base, row, rhs)
+        assert reads
+        extended = self._extended(prog, row, rhs)
+        cold = checked_solve(extended)
+        assert out.status == cold.status == LpStatus.OPTIMAL
+        assert out.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        assert_outcome_invariants(extended, out)
+        assert_duals_certify(prog, out, rows=(row, rhs))
+
     def test_a_binding_row_takes_dual_pivots(self):
         prog = make_lp([1.0, 1.0], np.eye(2), [LESS_EQUAL] * 2, [1.0, 2.0], [NONNEGATIVE] * 2)
         out = lp.add_row(lp.solve(prog), [1.0, 1.0], 2.0)
