@@ -12,6 +12,7 @@ from .errors import (
     AllZeroAlpha,
     DimensionTooSmall,
     NotPositiveDefinite,
+    NumericOverflow,
     OnDisjunctionBoundary,
     RankDeficientBasis,
 )
@@ -76,11 +77,21 @@ def split_depth_bound(space: AffineSpace, disjunction: Disjunction) -> SplitBoun
         raise ValueError(
             f"disjunction has dimension {disjunction.dim}, expected {space.dim}"
         )
-    proj = project_onto_direction_space(space, disjunction.coeffs)
-    nrm = float(np.linalg.norm(proj))
+    nrm = _projected_norm(space, disjunction)
     if nrm < DEGENERATE_NORM_TOL:
         return SplitBound.covers_hull()
     return SplitBound.finite(1.0 / nrm)
+
+
+def _projected_norm(space: AffineSpace, disjunction: Disjunction) -> float:
+    """Length of the disjunction's projection onto the hull's direction
+    space; NumericOverflow when it exceeds the double range."""
+    proj = project_onto_direction_space(space, disjunction.coeffs)
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(proj))
+    if not math.isfinite(nrm):
+        raise NumericOverflow("the disjunction's projected norm overflows; rescale it")
+    return nrm
 
 
 def split_point_depth_bound(
@@ -102,8 +113,7 @@ def split_point_depth_bound(
         raise OnDisjunctionBoundary(
             f"disjunction value {value} is integral within {INTEGRALITY_TOL}"
         )
-    proj = project_onto_direction_space(space, disjunction.coeffs)
-    nrm = float(np.linalg.norm(proj))
+    nrm = _projected_norm(space, disjunction)
     if nrm < DEGENERATE_NORM_TOL:
         return math.inf
     return max(frac, 1.0 - frac) / nrm

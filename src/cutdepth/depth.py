@@ -9,15 +9,15 @@ and the latter is a linear program over the shrunken bodies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import lp
-from .errors import EmptyPolyhedron, PointOutsideHull, PointOutsidePolyhedron
+from .errors import EmptyPolyhedron, NumericOverflow, PointOutsideHull, PointOutsidePolyhedron
 from .linalg import as_vector, frozen
-from .polyhedron import Cut, NormalizedPolyhedron, StandardFormModel, bound_rows
+from .polyhedron import Cut, NormalizedPolyhedron, StandardFormModel, UnitSlice, bound_rows
 
 # membership tolerance for point queries, relative to each row's scale
 POINT_TOL = 1e-7
@@ -40,7 +40,9 @@ class DepthResult:
     body's cached optimum shows dual pivots only, no phase 1 or 2 pivots,
     and none at all when it removes the cached Chebyshev centre, which is
     then its deepest point (lp.add_row answers it in O(n), with no tableau
-    copy); one read off the depth LP's dual has dualized set.
+    copy). One read off a dual has dualized set: the dual of a tall cone's
+    unit-depth slice (a finite or not-violated cut, certified by its
+    duality gap; see _slice_depth), or the dual of the depth LP.
     """
 
     kind: DepthKind
@@ -112,7 +114,12 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     The depth LP is the body's cut-free program (poly.chebyshev, solved once
     per body) plus the cut row, so the cut is scored by re-optimizing that
     one row from the cached optimum. A body whose cut-free program is
-    unbounded has no such optimum; there the depth LP is solved from scratch,
+    unbounded has no such optimum. When such a body is tall (more rows,
+    hull rows included, than columns) and all its rows are tight at one
+    apex (poly.unit_slice, built on its first cut), the cut is scored by
+    the corner closed form generalized to its unit-depth slice: one n-row
+    solve of the slice's cached dual (_slice_depth). Otherwise, or when that
+    answer does not certify itself, the depth LP is solved from scratch,
     through its LP dual when that certifies an optimum (lp.solve_dual).
     """
     if cut.dim != poly.dim:
@@ -125,9 +132,50 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
         row[: poly.dim] = cut.coeffs
         outcome = lp.add_row(base, row, cut.rhs)
     else:
+        # a tall body: more rows, hull rows included, than columns
+        if poly.num_rows + poly.space.num_equalities > poly.dim:
+            result = _slice_depth(poly.unit_slice, cut)
+            if result is not None:
+                return result
         program = poly.depth_program(cut)
         outcome = lp.solve_dual(program) or lp.solve(program)
     return _depth_result(outcome, poly.dim)
+
+
+def _slice_depth(unit: UnitSlice | None, cut: Cut) -> DepthResult | None:
+    """The depth of a cut over apex + lam * K1, or None for the caller to
+    solve the depth program.
+
+    With delta = rhs - coeffs @ apex and mu = min coeffs @ z over K1, the
+    removed points reach depth delta / mu: the corner closed form, with the
+    corner's one depth direction replaced by the slice program's optimum z.
+    mu comes from the cached slice dual with its rhs swapped for -coeffs,
+    certified by lp.solve_dual, and must be clearly positive: above
+    FEASIBILITY_TOL times |coeffs| @ |z|. A cut that misses the apex by
+    more than FEASIBILITY_TOL times max(|rhs|, |coeffs| @ |apex|) removes
+    nothing; any other has depth max(delta, 0) / mu at apex + lam * z.
+    """
+    if unit is None:
+        return None
+    objective = frozen(-cut.coeffs)
+    outcome = lp.solve_dual(
+        replace(unit.program, objective=objective),
+        (replace(unit.dual, rhs=objective), unit.scale),
+    )
+    if outcome is None:
+        return None
+    z = outcome.x
+    mu = -outcome.objective
+    abs_coeffs = np.abs(cut.coeffs)
+    if not mu > lp.FEASIBILITY_TOL * float(abs_coeffs @ np.abs(z)):
+        return None
+    delta = cut.rhs - float(cut.coeffs @ unit.apex)
+    if delta < -lp.FEASIBILITY_TOL * max(abs(cut.rhs), float(abs_coeffs @ np.abs(unit.apex))):
+        return DepthResult.not_violated(outcome.stats)
+    lam = max(delta, 0.0) / mu
+    if not math.isfinite(lam):
+        raise NumericOverflow("the cut's depth overflows; rescale the cut")
+    return DepthResult.finite(lam, unit.apex + lam * z, outcome.stats)
 
 
 def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:

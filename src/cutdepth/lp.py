@@ -17,6 +17,7 @@ optimum already meets costs add_row one dot product and no tableau copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IterationLimit
+from .errors import IterationLimit, NumericOverflow
 from .linalg import as_matrix, as_vector, frozen
 
 LESS_EQUAL = "<="
@@ -145,7 +146,9 @@ class LpOutcome:
     row (>= 0 on <= rows, <= 0 on >= rows, free on = rows, 0 on rows dropped
     as redundant), so that rhs @ duals equals the objective; Unbounded
     carries a feasible point and an improving ray; Infeasible carries
-    neither. Every outcome carries its SolveStats.
+    neither. Every outcome carries its SolveStats. An optimum whose x or
+    objective is not finite (the data overflowed the pivots) raises
+    NumericOverflow instead.
 
     An optimum from solve also keeps the program, its final condensed
     tableau and the original column ids of the tableau's basic rows and
@@ -271,16 +274,23 @@ def _stats(phase1: _Phase, phase2: _Phase, dropped_rows: int) -> SolveStats:
 
 
 def _optimum(
-    lay: _Layout, n: int, T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, duals) at an optimal tableau of a program with n columns; a row
-    whose column is basic, or that was dropped, has dual 0."""
+    lay: _Layout, objective: np.ndarray, T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(x, objective @ x, duals) at an optimal tableau of a program with the
+    given objective; a row whose column is basic, or that was dropped, has
+    dual 0. Raises NumericOverflow when x or its objective is not finite."""
     m = basis.shape[0]
     point = np.zeros(lay.ids)
     point[basis] = T[:m, -1]
+    x = point[: objective.shape[0]] + 0.0  # + 0.0 turns -0.0 into 0.0
+    if not np.isfinite(x).all():
+        raise NumericOverflow("the LP's optimum overflows; rescale the input")
+    value = float(objective @ x)
+    if not math.isfinite(value):
+        raise NumericOverflow("the LP's optimal value overflows; rescale the input")
     reduced = np.zeros(lay.ids)
     reduced[nonbasic] = T[m, :-1]
-    return point[:n] + 0.0, lay.dual_sign * reduced[lay.col_id]  # + 0.0 turns -0.0 into 0.0
+    return x, value, lay.dual_sign * reduced[lay.col_id]
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -350,10 +360,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
     phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, budget, priced, free)
     stats = _stats(phase1, phase2, len(drop))
     if phase2.unbounded is None:
-        x, duals = _optimum(lay, n, T, basis, nonbasic)
+        x, objective, duals = _optimum(lay, lp.objective, T, basis, nonbasic)
         return LpOutcome(
-            LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats,
-            duals=duals, program=lp, tableau=T, basis=basis, nonbasic=nonbasic,
+            LpStatus.OPTIMAL, x=x, objective=objective, stats=stats, duals=duals,
+            program=lp, tableau=T, basis=basis, nonbasic=nonbasic,
         )
     point = np.zeros(ids)
     point[basis] = T[:m, -1]
@@ -390,19 +400,28 @@ def row_scale(A: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(rhs), np.abs(A) @ np.abs(x))
 
 
-def solve_dual(program: LinearProgram) -> LpOutcome | None:
+def solve_dual(
+    program: LinearProgram, kept: tuple[LinearProgram, float] | None = None
+) -> LpOutcome | None:
     """Solve a program of <= and = rows with more rows than columns through
-    its smaller LP dual. x is minus the dual's row duals times scale,
+    its smaller LP dual: kept, the pair dual(program) returns, when the
+    caller keeps one, else dual(program) built here. x is minus the dual's row duals times scale,
     clamped at 0 on nonnegative columns; the optimum also carries the dual's
-    optimum as duals and stats with dualized set, but no tableau. None, for
-    the caller to solve the program as written, when it has no more rows
-    than columns, and unless the dual is optimal and x meets every row to
-    FEASIBILITY_TOL times its row_scale: else the program is infeasible or
-    unbounded, or too close to it for the dual's answer to stand.
+    optimum y as duals and stats with dualized set, but no tableau.
+
+    The answer certifies itself: x meets every row to FEASIBILITY_TOL times
+    its row_scale, and the duality gap |objective @ x - rhs @ y| is within
+    FEASIBILITY_TOL times the larger of |objective| @ |x| and |rhs| @ |y|.
+    The gap catches a misscaled x that feasibility alone would pass, as on
+    a cone, whose rows still hold when x grows. None, for the caller to
+    solve the program as written, when it has no more rows than columns, the
+    dual is not optimal or the answer is not certified: else the program is
+    infeasible or unbounded, or too close to it for the dual's answer to
+    stand.
     """
     if program.num_rows <= program.num_cols:
         return None
-    dual_program, scale = dual(program)
+    dual_program, scale = kept or dual(program)
     outcome = solve(dual_program)
     if outcome.status != LpStatus.OPTIMAL:
         return None
@@ -415,9 +434,14 @@ def solve_dual(program: LinearProgram) -> LpOutcome | None:
     equal = dual_program._layout.free[: program.num_rows]
     if (slack < -allowed).any() or (slack[equal] > allowed[equal]).any():
         return None
-    stats = replace(outcome.stats, dualized=True)
+    y = outcome.x
     objective = float(program.objective @ x)
-    return LpOutcome(LpStatus.OPTIMAL, x=x, objective=objective, stats=stats, duals=outcome.x)
+    gap = abs(objective - float(program.rhs @ y))
+    size = max(float(np.abs(program.objective) @ np.abs(x)), float(np.abs(program.rhs) @ np.abs(y)))
+    if gap > FEASIBILITY_TOL * size:
+        return None
+    stats = replace(outcome.stats, dualized=True)
+    return LpOutcome(LpStatus.OPTIMAL, x=x, objective=objective, stats=stats, duals=y)
 
 
 def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
@@ -494,51 +518,54 @@ def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:
     bland = False
     values = T[:m, -1]
     reduced = T[m, :priced]
-    while True:
-        negative = (values < 0.0).nonzero()[0]
-        if free is not None:
-            negative = negative[~free[basis[negative]]]
-        if negative.size:
-            point = np.zeros(ids + 1)
-            point[basis] = values
-            size = np.abs(point[:n])
-            # a tableau row weighs the program's rows by its entries in their
-            # slack and artificial columns, and its basic variable's own row by 1
-            weigh = owner[nonbasic]
-            own = owner[basis[negative]]
-            need = np.concatenate([weigh, own])
-            need = need[(need >= 0) & (need < rows)]
-            allowed[need] = _ROUNDOFF * np.maximum(np.abs(b[need]), np.abs(lp.A[need]) @ size)
-            allowed[rows] = FEASIBILITY_TOL * max(abs(rhs), float(abs_coeffs @ size))
-            tol = allowed[own] + np.abs(T[negative, :-1]) @ allowed[weigh]
-            negative = negative[values[negative] < -tol]
-        if negative.size == 0:
-            x, duals = _optimum(lay, n, T, basis, nonbasic)
-            stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)
-            return LpOutcome(
-                LpStatus.OPTIMAL, x=x, objective=float(lp.objective @ x), stats=stats, duals=duals
-            )
-        if bland:
-            leave = int(negative[basis[negative].argmin()])
-        else:
-            leave = int(negative[values[negative].argmin()])
-        row = T[leave, :priced]
-        if free is not None:
-            # a free column may enter moving either way
-            row = np.where(free[nonbasic[:priced]], -np.abs(row), row)
-        eligible = (row < -PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
-            stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)
-            return LpOutcome(LpStatus.INFEASIBLE, stats=stats)
-        ratios = np.maximum(reduced[eligible], 0.0) / -row[eligible]
-        best = ratios.min()
-        tied = eligible[ratios <= best + _DEGENERATE_RATIO * (1.0 + best)]
-        enter = int(tied[nonbasic[tied].argmin()])
-        if best < _DEGENERATE_RATIO:
-            degenerate += 1
-            if degenerate > bland_threshold:
-                bland = True
-        _pivot(T, basis, nonbasic, leave, enter)
-        pivots += 1
-        if pivots > MAX_PIVOTS:
-            raise IterationLimit(f"dual simplex exceeded {MAX_PIVOTS} pivots")
+    # a row far beyond the body's scale overflows the pivots; the optimum's
+    # check in _optimum turns that into NumericOverflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            negative = (values < 0.0).nonzero()[0]
+            if free is not None:
+                negative = negative[~free[basis[negative]]]
+            if negative.size:
+                point = np.zeros(ids + 1)
+                point[basis] = values
+                size = np.abs(point[:n])
+                # a tableau row weighs the program's rows by its entries in their
+                # slack and artificial columns, and its basic variable's own row by 1
+                weigh = owner[nonbasic]
+                own = owner[basis[negative]]
+                need = np.concatenate([weigh, own])
+                need = need[(need >= 0) & (need < rows)]
+                allowed[need] = _ROUNDOFF * np.maximum(np.abs(b[need]), np.abs(lp.A[need]) @ size)
+                allowed[rows] = FEASIBILITY_TOL * max(abs(rhs), float(abs_coeffs @ size))
+                tol = allowed[own] + np.abs(T[negative, :-1]) @ allowed[weigh]
+                negative = negative[values[negative] < -tol]
+            if negative.size == 0:
+                x, objective, duals = _optimum(lay, lp.objective, T, basis, nonbasic)
+                stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)
+                return LpOutcome(
+                    LpStatus.OPTIMAL, x=x, objective=objective, stats=stats, duals=duals
+                )
+            if bland:
+                leave = int(negative[basis[negative].argmin()])
+            else:
+                leave = int(negative[values[negative].argmin()])
+            row = T[leave, :priced]
+            if free is not None:
+                # a free column may enter moving either way
+                row = np.where(free[nonbasic[:priced]], -np.abs(row), row)
+            eligible = (row < -PIVOT_TOL).nonzero()[0]
+            if eligible.size == 0:
+                stats = SolveStats(degenerate_pivots=degenerate, bland=bland, dual_pivots=pivots)
+                return LpOutcome(LpStatus.INFEASIBLE, stats=stats)
+            ratios = np.maximum(reduced[eligible], 0.0) / -row[eligible]
+            best = ratios.min()
+            tied = eligible[ratios <= best + _DEGENERATE_RATIO * (1.0 + best)]
+            enter = int(tied[nonbasic[tied].argmin()])
+            if best < _DEGENERATE_RATIO:
+                degenerate += 1
+                if degenerate > bland_threshold:
+                    bland = True
+            _pivot(T, basis, nonbasic, leave, enter)
+            pivots += 1
+            if pivots > MAX_PIVOTS:
+                raise IterationLimit(f"dual simplex exceeded {MAX_PIVOTS} pivots")

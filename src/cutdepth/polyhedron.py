@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,27 +193,73 @@ class NormalizedPolyhedron:
         cut-depth LP over the body."""
         return lp.solve(self.depth_program())
 
+    @cached_property
+    def unit_slice(self) -> "UnitSlice | None":
+        """The body as apex + lam * K1 for every lam > 0, built on first use;
+        None when no point makes every row tight.
+
+        The apex v solves [normals; A] v = [offsets; b] by least squares and
+        stands only when every residual is within lp.FEASIBILITY_TOL times its
+        lp.row_scale. K1 = { z in the hull's direction space : normals @ z <= -1 }
+        is the unit-depth slice seen from the apex; the slice program over it
+        has a zero objective, which each cut replaces by -coeffs.
+        """
+        n = self.dim
+        A = np.vstack([self.normals, self.space.A])
+        rhs = np.concatenate([self.offsets, self.space.b])
+        apex = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        if (np.abs(A @ apex - rhs) > lp.FEASIBILITY_TOL * lp.row_scale(A, rhs, apex)).any():
+            return None
+        bounds = np.zeros(rhs.shape[0])
+        bounds[: self.num_rows] = -1.0
+        relations = (lp.LESS_EQUAL,) * self.num_rows + (lp.EQUAL,) * self.space.num_equalities
+        program = lp.LinearProgram(
+            frozen(np.zeros(n)), frozen(A), relations, frozen(bounds), (lp.FREE,) * n
+        )
+        return UnitSlice(frozen(apex), program, *lp.dual(program))
+
+
+class UnitSlice(NamedTuple):
+    """A body whose rows are all tight at apex: shrunk by lam > 0 it is
+    apex + lam * K1 (NormalizedPolyhedron.unit_slice). program is max 0 @ z
+    s.t. normals @ z <= -1, A z = 0, z free; dual and scale are
+    lp.dual(program), kept so that a cut swaps only the dual's rhs."""
+
+    apex: np.ndarray
+    program: lp.LinearProgram
+    dual: lp.LinearProgram
+    scale: float
+
 
 def normalize(poly: HPolyhedron) -> NormalizedPolyhedron:
     """Rewrite an inequality-form polyhedron with unit-norm in-hull rows.
 
     Row i becomes gamma_i / |gamma_i| with offset (b_i + mu_i @ space.b) / |gamma_i|,
     where gamma_i is the projection of the i-th normal onto the direction
-    space. Raises DegenerateConstraint for rows orthogonal to the hull.
+    space. Raises DegenerateConstraint for rows orthogonal to the hull:
+    those whose cosine |gamma_i| / |a_i| is at most DEGENERATE_NORM_TOL, so
+    that the verdict does not depend on the row's scale; and NumericOverflow
+    when a norm or an offset exceeds the double range.
     """
     space = poly.space
     gammas, mus = _project_rows(space, poly.A)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(gammas, axis=1)
-    overflow = np.flatnonzero(~np.isfinite(norms))
+        # in the full space each row is its own projection
+        row_norms = np.linalg.norm(poly.A, axis=1) if space.num_equalities else norms
+    overflow = np.flatnonzero(~np.isfinite(row_norms) | ~np.isfinite(norms))
     if overflow.size:
         raise NumericOverflow(f"row {overflow[0]}: the norm of its normal overflows; rescale it")
-    degenerate = np.flatnonzero(norms < DEGENERATE_NORM_TOL)
+    degenerate = np.flatnonzero(norms <= DEGENERATE_NORM_TOL * row_norms)
     if degenerate.size:
         raise DegenerateConstraint(
             f"row {degenerate[0]}: normal is orthogonal to the affine hull"
         )
-    offsets = (poly.b + mus @ space.b) / norms
+    with np.errstate(over="ignore"):
+        offsets = (poly.b + mus @ space.b) / norms
+    overflow = np.flatnonzero(~np.isfinite(offsets))
+    if overflow.size:
+        raise NumericOverflow(f"row {overflow[0]}: its normalized offset overflows; rescale it")
     gammas /= norms[:, None]
     return NormalizedPolyhedron(frozen(gammas), frozen(offsets), space)
 

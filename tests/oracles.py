@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own solvers where that
 would make a check circular: vertex enumeration uses numpy solves, the
 depth bisection drives shrink-feasibility directly, and the standard-form
-depth is solved by SciPy's HiGHS in the model's own variables.
+depth is solved by SciPy's HiGHS in the model's own variables, and the
+depth over a normalized body by HiGHS on its rows.
 """
 
 import itertools
@@ -169,4 +170,26 @@ def standard_form_depth_by_highs(model: StandardFormModel, cut: Cut):
     )
     if res.status == 0:
         return DepthKind.FINITE, max(-float(res.fun), 0.0) * scale
+    return {2: DepthKind.NOT_VIOLATED, 3: DepthKind.UNBOUNDED}[res.status], None
+
+
+def depth_by_highs(poly: NormalizedPolyhedron, cut: Cut):
+    """(kind, value) of the cut's depth over a nonempty normalized body, by
+    SciPy's HiGHS on the depth LP over the body's rows, max lam s.t.
+    normals @ x + lam <= offsets, cut.coeffs @ x <= cut.rhs, x on the hull,
+    lam >= 0. Skips the calling test when SciPy is missing."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n, p = poly.dim, poly.space.num_equalities
+    res = linprog(
+        -np.eye(n + 1)[n],
+        A_ub=np.vstack([np.column_stack([poly.normals, np.ones(poly.num_rows)]),
+                        np.append(cut.coeffs, 0.0)]),
+        b_ub=np.append(poly.offsets, cut.rhs),
+        A_eq=np.column_stack([poly.space.A, np.zeros(p)]) if p else None,
+        b_eq=poly.space.b if p else None,
+        bounds=[(None, None)] * n + [(0.0, None)],
+        method="highs",
+    )
+    if res.status == 0:
+        return DepthKind.FINITE, max(-float(res.fun), 0.0)
     return {2: DepthKind.NOT_VIOLATED, 3: DepthKind.UNBOUNDED}[res.status], None

@@ -556,3 +556,38 @@ def test_entries_whose_norms_overflow_exit_2(argv, instance, tmp_path, capsys):
     assert main([*argv, "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BOX = {"polyhedron": {"A": [[1, 0], [0, 1], [-1, 0], [0, -1]], "b": [3, 1, 0, 0]}}
+CONE = {
+    "polyhedron": {
+        "A": [[1, -0.5, -0.5], [1, -0.5, 0.5], [1, 0.5, -0.5], [1, 0.5, 0.5]],
+        "b": [0.9999, 1.4999, 1.4999, 1.9999],
+    }
+}
+CI_STANDARD_FORM = {
+    "polyhedron": {"L": [[1, 1, 1]], "xi": [1.5], "lower": [0, 0, 0], "upper": ["inf", "inf", 1]}
+}
+
+
+@pytest.mark.parametrize(
+    "argv, instance",
+    [
+        # the dual simplex pivots the cut row to x = -inf
+        (["depth"], {**BOX, "cuts": [{"alpha": [1, 0], "beta": -1e308}]}),
+        # the deep cone for n = 3, a tall body: its slice gives delta / mu = inf
+        (["depth"], {**CONE, "cuts": [{"alpha": [-0.3, 0, 0], "beta": 1e308}]}),
+        # the disjunction's projected norm overflows, so 1 / norm is 0
+        (
+            ["bound", "split"],
+            {**CI_STANDARD_FORM, "disjunctions": [{"pi": [1, 0, 1e308], "pi0": 0}]},
+        ),
+    ],
+    ids=["depth-cut-rhs", "depth-cone-cut-rhs", "split-pi"],
+)
+def test_answers_beyond_the_double_range_exit_2(argv, instance, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(instance))
+    assert main([*argv, "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

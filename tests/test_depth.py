@@ -31,7 +31,7 @@ from cutdepth.polyhedron import (
     shrink,
 )
 
-from oracles import point_depth_by_bisection, standard_form_depth_by_highs
+from oracles import depth_by_highs, point_depth_by_bisection, standard_form_depth_by_highs
 
 
 def box(lo, hi):
@@ -559,16 +559,55 @@ def _lifted_cone(rng, n):
     return normalize(HPolyhedron(A, cone.b, AffineSpace(L, L @ rng.standard_normal(n + 2))))
 
 
+def _random_cone(rng, rows=30, n=5):
+    """(A, apex, c): a pointed cone { x : A x <= A apex } around a seeded
+    recession direction, and -c, the sum of its unit rows, which lies
+    inside its dual cone."""
+    A = rng.standard_normal((rows, n))
+    d = rng.standard_normal(n)
+    inward = np.abs(rng.standard_normal(rows)) * np.linalg.norm(A, axis=1)
+    A -= np.outer(A @ d + inward, d) / (d @ d)
+    apex = rng.uniform(-2.0, 2.0, n)
+    c = -(A / np.linalg.norm(A, axis=1)[:, None]).sum(axis=0)
+    return A, apex, c
+
+
+def _random_cone_cuts(rng, apex, c, count=4):
+    """Cuts of finite depth around c, whose normals lie inside the dual cone."""
+    n = c.shape[0]
+    cuts = []
+    for _ in range(count):
+        coeffs = c + 0.3 * np.linalg.norm(c) * rng.standard_normal(n) / np.sqrt(n)
+        depth = rng.uniform(0.1, 2.0) * np.linalg.norm(coeffs)
+        cuts.append(Cut(coeffs, float(coeffs @ apex) + depth))
+    return cuts
+
+
 def _primal(body, cut):
     """The depth LP solved as written, as cut_depth's fallback solves it."""
     outcome = lp.solve(body.depth_program(cut))
     return _depth_result(outcome, body.dim)
 
 
+def _recorded_solves(monkeypatch):
+    """The list of programs that lp.solve is called on from here on."""
+    programs = []
+    solve = lp.solve
+
+    def recorded(program):
+        programs.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    return programs
+
+
 class TestDualSide:
     """A body without a cached optimum (a cone) whose depth program has more
-    rows than columns is scored on the (n + 1)-row dual; the result matches
-    the depth program solved as written."""
+    rows than columns is scored on a dual: the n-row dual of its unit-depth
+    slice when every row is tight at one apex, else the (n + 1)-row dual of
+    its depth program. The result matches the depth program solved as
+    written."""
 
     def _agree(self, body, cuts):
         for cut in cuts:
@@ -598,22 +637,14 @@ class TestDualSide:
         # need phase 2 pivots, which see the dual objective's scale
         for seed in range(6):
             rng = np.random.default_rng(seed)
-            A = rng.standard_normal((30, 5))
-            d = rng.standard_normal(5)
-            inward = np.abs(rng.standard_normal(30)) * np.linalg.norm(A, axis=1)
-            A -= np.outer(A @ d + inward, d) / (d @ d)
-            apex = rng.uniform(-2.0, 2.0, 5)
-            c = -(A / np.linalg.norm(A, axis=1)[:, None]).sum(axis=0)
+            A, apex, c = _random_cone(rng)
             body = normalize(HPolyhedron(A, A @ apex, AffineSpace.full_space(5)))
-            for _ in range(4):
-                coeffs = c + 0.3 * np.linalg.norm(c) * rng.standard_normal(5) / np.sqrt(5)
-                depth = rng.uniform(0.1, 2.0) * np.linalg.norm(coeffs)
-                cut = Cut(coeffs, float(coeffs @ apex) + depth)
+            for cut in _random_cone_cuts(rng, apex, c):
                 reference = cut_depth(body, cut)
                 assert reference.stats.dualized and reference.stats.phase2_pivots > 0
                 for t in 10.0 ** np.arange(-8, 9):
                     scaled = normalize(HPolyhedron(A, t * (A @ apex), AffineSpace.full_space(5)))
-                    result = cut_depth(scaled, Cut(coeffs, t * cut.rhs))
+                    result = cut_depth(scaled, Cut(cut.coeffs, t * cut.rhs))
                     assert result.stats.dualized, (seed, t)
                     assert result.value == pytest.approx(t * reference.value, rel=1e-9)
 
@@ -625,14 +656,136 @@ class TestDualSide:
         vacuous = Cut(-body.normals[0], -body.offsets[0] - 1.0)
         deep = Cut(np.eye(6)[0], 0.0)
         result = cut_depth(body, vacuous)
-        assert result.kind == DepthKind.NOT_VIOLATED
-        assert not result.stats.dualized
+        assert result.kind == _primal(body, vacuous).kind == DepthKind.NOT_VIOLATED
+        assert result.stats.dualized
         result = cut_depth(body, deep)
         reference = _primal(body, deep)
         assert result.kind == reference.kind == DepthKind.UNBOUNDED
         assert not result.stats.dualized
         assert result.ray.tobytes() == reference.ray.tobytes()
         assert (body.normals @ result.ray <= 1e-9).all() and deep.coeffs @ result.ray < 0.0
+
+    def _slice_agrees(self, body, cuts, monkeypatch):
+        """Each cut costs one lp.solve, of the body.dim-row slice dual, and
+        gets the kind and, within 1e-9, the value of the depth program
+        solved as written; returns the kinds seen."""
+        assert body.chebyshev.status == lp.LpStatus.UNBOUNDED
+        programs = _recorded_solves(monkeypatch)
+        kinds = set()
+        for cut in cuts:
+            programs.clear()
+            result = cut_depth(body, cut)
+            assert [program.num_rows for program in programs] == [body.dim]
+            assert result.stats.dualized
+            reference = _primal(body, cut)
+            assert result.kind == reference.kind
+            if result.is_finite:
+                assert result.value == pytest.approx(reference.value, rel=1e-9, abs=1e-12)
+                assert point_depth(body, result.point) >= result.value - 1e-9
+                scale = max(abs(cut.rhs), float(np.abs(cut.coeffs) @ np.abs(result.point)))
+                assert cut.coeffs @ result.point <= cut.rhs + lp.FEASIBILITY_TOL * scale
+            kinds.add(result.kind)
+        return kinds
+
+    def test_slice_matches_the_primal_on_random_cones(self, monkeypatch):
+        kinds = set()
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            A, apex, c = _random_cone(rng)
+            body = normalize(HPolyhedron(A, A @ apex, AffineSpace.full_space(5)))
+            # one cut beyond the first facet, one through the apex
+            vacuous = Cut(-body.normals[0], -body.offsets[0] - 0.5)
+            touching = Cut(c, float(c @ apex))
+            cuts = _random_cone_cuts(rng, apex, c) + [vacuous, touching]
+            kinds |= self._slice_agrees(body, cuts, monkeypatch)
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED}
+
+    def test_slice_matches_the_primal_on_a_hull(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        body = _lifted_cone(rng, 7)
+        cuts = [Cut(np.append(cut.coeffs, [0.0, 0.0]), cut.rhs) for cut in _cone_cuts(rng, 7)]
+        assert self._slice_agrees(body, cuts, monkeypatch) == {DepthKind.FINITE}
+        # a cut constant on the hull has mu = 0, so the depth program answers
+        row, value = body.space.A[0], body.space.b[0]
+        for cut, kind in ((Cut(row, value + 1.0), DepthKind.UNBOUNDED),
+                          (Cut(row, value - 1.0), DepthKind.NOT_VIOLATED)):
+            result = cut_depth(body, cut)
+            assert result.kind == _primal(body, cut).kind == kind
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_deep_cone_cuts_beyond_its_first_facet(self, n, monkeypatch):
+        body = normalize(depth_lower_bound_cone(n, 1e-4).polyhedron)
+        normal, offset = body.normals[0], body.offsets[0]
+        # a miss by 1e-8 relative is within the tolerance: finite 0
+        near_miss = Cut(-normal, -offset - 1e-8 * offset)
+        vacuous = Cut(-normal, -offset - 1.0)
+        kinds = self._slice_agrees(body, [near_miss, vacuous], monkeypatch)
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED}
+        assert cut_depth(body, near_miss).value == 0.0
+        # x_1 >= 0 has unbounded depth: the slice dual is not optimal, and
+        # the depth program as written gives the ray
+        deep = Cut(np.eye(n)[0], 0.0)
+        result = cut_depth(body, deep)
+        assert result.kind == _primal(body, deep).kind == DepthKind.UNBOUNDED
+        assert not result.stats.dualized
+
+    def test_slice_against_highs(self):
+        kinds = set()
+        for seed in range(8):
+            rng = np.random.default_rng(100 + seed)
+            n = int(rng.integers(3, 7))
+            A, apex, c = _random_cone(rng, int(rng.integers(2 * n, 40)), n)
+            body = normalize(HPolyhedron(A, A @ apex, AffineSpace.full_space(n)))
+            cuts = _random_cone_cuts(rng, apex, c) + [
+                Cut(-body.normals[0], -body.offsets[0] - 0.5),  # removes nothing
+                Cut(-c, -float(c @ apex)),  # removes points far along the cone
+            ]
+            for cut in cuts:
+                kind, value = depth_by_highs(body, cut)
+                result = cut_depth(body, cut)
+                assert result.kind == kind, (seed, cut)
+                if kind == DepthKind.FINITE:
+                    assert result.value == pytest.approx(value, rel=1e-6, abs=1e-7)
+                kinds.add(kind)
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
+
+    def test_bodies_without_an_apex_keep_the_depth_program(self):
+        # { x >= 0, x_1 + x_2 >= 1 } has no point where all three rows are
+        # tight, and neither has the deep cone with one offset moved by 1e-3
+        corner = normalize(
+            HPolyhedron([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]], [0.0, 0.0, -1.0],
+                        AffineSpace.full_space(2))
+        )
+        corner_cuts = [Cut([1.0, 1.0], 2.0), Cut([1.0, 0.0], 1.0), Cut([1.0, 1.0], 0.5),
+                       Cut([-1.0, -1.0], -3.0)]
+        cone = depth_lower_bound_cone(6, 1e-4).polyhedron
+        offsets = cone.b.copy()
+        offsets[3] += 1e-3
+        moved = normalize(HPolyhedron(cone.A, offsets, cone.space))
+        moved_cuts = _cone_cuts(np.random.default_rng(6), 6) + [Cut(np.eye(6)[0], 0.0)]
+        kinds = set()
+        for body, cuts in ((corner, corner_cuts), (moved, moved_cuts)):
+            for cut in cuts:
+                result = cut_depth(body, cut)
+                program = body.depth_program(cut)
+                today = _depth_result(lp.solve_dual(program) or lp.solve(program), body.dim)
+                assert result.kind == today.kind
+                assert result.stats == today.stats
+                if result.is_finite:
+                    assert result.value == today.value
+                    assert result.point.tobytes() == today.point.tobytes()
+                kinds.add(result.kind)
+            assert body.unit_slice is None
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
+
+    def test_square_and_warm_bodies_build_no_slice(self):
+        # only a tall body without a cached optimum reaches the slice, so
+        # no other body pays for its apex
+        square = normalize(depth_lower_bound_cone(2, 1e-4).polyhedron)
+        warm = box([0.0, 0.0], [1.0, 3.0])
+        for body in (square, warm):
+            cut_depth(body, Cut([-1.0, 0.0], 0.0))
+            assert "unit_slice" not in body.__dict__
 
     def test_square_program_stays_primal(self):
         # n = 2: two body rows and the cut on three columns (x, lam)

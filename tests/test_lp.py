@@ -583,6 +583,19 @@ class TestDual:
         monkeypatch.setattr(lp, "dual", misscaled)
         assert lp.solve_dual(prog) is None
 
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_solve_dual_certifies_the_gap(self, factor):
+        # max x_1 + x_2 over x_1 <= -1, x_2 <= -1, x_1 + x_2 <= -3, a cone's
+        # unit slice: a misscaled dual reads factor times an optimum, which
+        # still meets every row when factor >= 1, so only the gap rejects it
+        prog = make_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [LESS_EQUAL] * 3,
+                       [-1.0, -1.0, -3.0], [FREE] * 2)
+        dual_program, scale = lp.dual(prog)
+        out = lp.solve_dual(prog, (dual_program, scale))
+        assert out.objective == pytest.approx(-3.0) and out.stats.dualized
+        assert out.objective == pytest.approx(prog.rhs @ out.duals)
+        assert lp.solve_dual(prog, (dual_program, factor * scale)) is None
+
     def test_solve_dual_declines(self):
         square = make_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [LESS_EQUAL] * 2, [1.0, 2.0],
                          [NONNEGATIVE] * 2)

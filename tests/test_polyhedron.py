@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cutdepth.depth import from_standard_form
-from cutdepth.errors import DegenerateConstraint, NotPositiveDefinite
+from cutdepth.depth import DepthKind, cut_depth, from_standard_form
+from cutdepth.errors import DegenerateConstraint, NotPositiveDefinite, NumericOverflow
 from cutdepth.polyhedron import (
     AffineSpace,
     Cut,
@@ -79,6 +79,33 @@ class TestNormalize:
         # the message names the first degenerate row, wherever it sits
         P = HPolyhedron([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 1.0]], [1.0] * 4, space)
         with pytest.raises(DegenerateConstraint, match=r"^row 2:"):
+            normalize(P)
+
+    @pytest.mark.parametrize("t", [1e-10, 1e-11, 1e-100])
+    def test_row_scale_does_not_make_a_row_degenerate(self, t):
+        # a short row is not an orthogonal one: every row of the unit box
+        # scaled by t keeps the box's cut depth
+        P = unit_square()
+        cut = Cut([1.0, 0.0], 0.3)
+        reference = cut_depth(normalize(P), cut)
+        Q = normalize(HPolyhedron(t * P.A, t * P.b, P.space))
+        np.testing.assert_allclose(Q.normals, normalize(P).normals, rtol=1e-15)
+        result = cut_depth(Q, cut)
+        assert result.kind == reference.kind == DepthKind.FINITE
+        assert result.value == pytest.approx(reference.value, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1.0, 1e-11, 1e8])
+    def test_orthogonal_row_refused_at_every_scale(self, t):
+        # (1, 1) lies in the hull's row space, (1, 1 + 1e-12) next to it
+        space = AffineSpace([[1.0, 1.0]], [0.0])
+        for row in ([1.0, 1.0], [1.0, 1.0 + 1e-12]):
+            P = HPolyhedron(t * np.array([[1.0, 0.0], row]), [1.0, 1.0], space)
+            with pytest.raises(DegenerateConstraint, match=r"^row 1:"):
+                normalize(P)
+
+    def test_offset_beyond_the_double_range_raises(self):
+        P = HPolyhedron([[1e-100, 0.0]], [1e300], AffineSpace.full_space(2))
+        with pytest.raises(NumericOverflow, match=r"^row 0:"):
             normalize(P)
 
     def test_idempotent(self):
