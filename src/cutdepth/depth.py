@@ -17,7 +17,7 @@ import numpy as np
 from . import lp
 from .errors import EmptyPolyhedron, NumericOverflow, PointOutsideHull, PointOutsidePolyhedron
 from .linalg import as_vector, frozen
-from .polyhedron import Cut, NormalizedPolyhedron, StandardFormModel, UnitSlice, bound_rows
+from .polyhedron import Cut, NormalizedPolyhedron, StandardFormModel, bound_rows
 
 # membership tolerance for point queries, relative to each row's scale
 POINT_TOL = 1e-7
@@ -42,7 +42,10 @@ class DepthResult:
     then its deepest point (lp.add_row answers it in O(n), with no tableau
     copy). One read off a dual has dualized set: the dual of a tall cone's
     unit-depth slice (a finite or not-violated cut, certified by its
-    duality gap; see _slice_depth), or the dual of the depth LP.
+    duality gap; see _slice_depth), or the dual of the depth LP. One that
+    re-priced the cached vertex of any other cone's unit-depth slice shows
+    phase 2 pivots only, none on a simplicial cone, and is certified the
+    same way.
     """
 
     kind: DepthKind
@@ -114,13 +117,16 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     The depth LP is the body's cut-free program (poly.chebyshev, solved once
     per body) plus the cut row, so the cut is scored by re-optimizing that
     one row from the cached optimum. A body whose cut-free program is
-    unbounded has no such optimum. When such a body is tall (more rows,
-    hull rows included, than columns) and all its rows are tight at one
-    apex (poly.unit_slice, built on its first cut), the cut is scored by
-    the corner closed form generalized to its unit-depth slice: one n-row
-    solve of the slice's cached dual (_slice_depth). Otherwise, or when that
-    answer does not certify itself, the depth LP is solved from scratch,
-    through its LP dual when that certifies an optimum (lp.solve_dual).
+    unbounded has no such optimum. When all its rows are tight at one apex
+    (poly.unit_slice, built on its first cut), the cut is scored by the
+    corner closed form generalized to its unit-depth slice (_slice_depth):
+    a tall body (more rows, hull rows included, than columns) makes one
+    n-row solve of the slice's cached dual, any other re-prices one cached
+    vertex of the slice program, with no pivot on a simplicial cone. A
+    slice that proves the depth unbounded leaves the depth LP to solve as
+    written, for the ray. Otherwise, or when the slice's answer does not
+    certify itself, the depth LP is solved from scratch, through its LP
+    dual when that certifies an optimum (lp.solve_dual).
     """
     if cut.dim != poly.dim:
         raise ValueError(f"cut has dimension {cut.dim}, expected {poly.dim}")
@@ -132,36 +138,50 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
         row[: poly.dim] = cut.coeffs
         outcome = lp.add_row(base, row, cut.rhs)
     else:
-        # a tall body: more rows, hull rows included, than columns
-        if poly.num_rows + poly.space.num_equalities > poly.dim:
-            result = _slice_depth(poly.unit_slice, cut)
-            if result is not None:
-                return result
+        result = _slice_depth(poly, cut)
+        if result is not None:
+            return result
         program = poly.depth_program(cut)
         outcome = lp.solve_dual(program) or lp.solve(program)
     return _depth_result(outcome, poly.dim)
 
 
-def _slice_depth(unit: UnitSlice | None, cut: Cut) -> DepthResult | None:
-    """The depth of a cut over apex + lam * K1, or None for the caller to
-    solve the depth program.
+def _slice_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
+    """The depth of a cut over apex + lam * K1 (poly.unit_slice), or None
+    for the caller to solve the depth program.
 
     With delta = rhs - coeffs @ apex and mu = min coeffs @ z over K1, the
     removed points reach depth delta / mu: the corner closed form, with the
     corner's one depth direction replaced by the slice program's optimum z.
-    mu comes from the cached slice dual with its rhs swapped for -coeffs,
-    certified by lp.solve_dual, and must be clearly positive: above
+    mu comes from the slice program with the objective -coeffs: on a tall
+    body from its cached dual with the rhs swapped (lp.read_dual), on any
+    other by re-pricing its cached vertex (lp.reprice). The optimum must
+    certify itself (lp.certifies) and mu be clearly positive: above
     FEASIBILITY_TOL times |coeffs| @ |z|. A cut that misses the apex by
     more than FEASIBILITY_TOL times max(|rhs|, |coeffs| @ |apex|) removes
     nothing; any other has depth max(delta, 0) / mu at apex + lam * z.
+    When the slice program is unbounded (its dual infeasible), so is the
+    depth: the depth program, solved as written, gives the ray.
     """
+    unit = poly.unit_slice
     if unit is None:
         return None
     objective = frozen(-cut.coeffs)
-    outcome = lp.solve_dual(
-        replace(unit.program, objective=objective),
-        (replace(unit.dual, rhs=objective), unit.scale),
-    )
+    if unit.vertex is None:
+        dual, scale = unit.dual
+        dual = replace(dual, rhs=objective)
+        answer = lp.solve(dual)
+        unbounded = answer.status == lp.LpStatus.INFEASIBLE
+        outcome = lp.read_dual(unit.program.with_objective(objective), (dual, scale), answer)
+    else:
+        outcome = lp.reprice(unit.vertex, objective)
+        unbounded = outcome.status == lp.LpStatus.UNBOUNDED
+        # the slice program's = rows are the hull rows, after the body's
+        equal = np.arange(unit.program.num_rows) >= poly.num_rows
+        if unbounded or not lp.certifies(outcome.program, outcome.x, outcome.duals, equal):
+            outcome = None
+    if unbounded:
+        return _depth_result(lp.solve(poly.depth_program(cut)), poly.dim)
     if outcome is None:
         return None
     z = outcome.x

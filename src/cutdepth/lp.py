@@ -1,6 +1,7 @@
 """Self-contained dense two-phase simplex solver, with a dual simplex that
-re-optimizes an optimum after one more row, and solve_dual, which solves a
-program with many more rows than columns through its LP dual.
+re-optimizes an optimum after one more row (add_row), a phase 2 that
+re-optimizes it under another objective (reprice), and solve_dual, which
+solves a program with many more rows than columns through its LP dual.
 
 Maximizes a linear objective subject to <=, =, >= rows over free or
 nonnegative variables, one column per variable; a free column enters in
@@ -11,8 +12,11 @@ a pivot touches m x (nonbasic + 1) entries and never the identity of the
 basic columns. Deterministic: Dantzig pricing, leaving-row ties broken by
 lowest basis id, switching to Bland's rule (by original column id) after a
 fixed number of degenerate pivots. An optimum keeps its final tableau, from
-which the row duals are read and from which add_row starts; a row that the
-optimum already meets costs add_row one dot product and no tableau copy.
+which the row duals are read and from which add_row and reprice start; a row
+that the optimum already meets costs add_row one dot product and no tableau
+copy, and an objective under which the optimal basis stays optimal costs
+reprice one pricing pass and no pivot. An answer read from elsewhere, as
+solve_dual's off the dual, stands only when certifies passes it.
 """
 
 from __future__ import annotations
@@ -91,6 +95,16 @@ class LinearProgram:
         if unknown := set(self.domains).difference(_IS_FREE):
             raise ValueError(f"unknown domain {unknown.pop()!r}")
 
+    def with_objective(self, objective) -> "LinearProgram":
+        """This program with another objective, of which only the objective
+        is validated: the rows, and so the layout, are this program's."""
+        objective = as_vector(objective, "objective")
+        if objective.shape != self.objective.shape:
+            raise ValueError(f"objective has length {objective.shape[0]}, expected {self.num_cols}")
+        program = object.__new__(LinearProgram)
+        program.__dict__.update(self.__dict__, objective=objective)
+        return program
+
     @property
     def num_rows(self) -> int:
         return self.A.shape[0]
@@ -127,9 +141,8 @@ class LinearProgram:
 class SolveStats:
     """What the simplex did: pivots per phase, dual simplex pivots (add_row),
     degenerate pivots over all of them, whether Bland's rule took over, and
-    redundant rows dropped after phase 1. dualized is set by solve_dual,
-    which solves a program's LP dual in its place and reads the answer off
-    the dual's duals."""
+    redundant rows dropped after phase 1. dualized is set by read_dual (for
+    solve_dual), which reads a program's answer off its LP dual's duals."""
 
     phase1_pivots: int = 0
     phase2_pivots: int = 0
@@ -150,9 +163,9 @@ class LpOutcome:
     objective is not finite (the data overflowed the pivots) raises
     NumericOverflow instead.
 
-    An optimum from solve also keeps the program, its final condensed
-    tableau and the original column ids of the tableau's basic rows and
-    nonbasic columns: the warm start of add_row.
+    An optimum from solve or reprice also keeps the program, its final
+    condensed tableau and the original column ids of the tableau's basic
+    rows and nonbasic columns: the warm start of add_row and reprice.
     """
 
     status: LpStatus
@@ -350,15 +363,47 @@ def solve(lp: LinearProgram) -> LpOutcome:
             T = np.delete(T, drop, axis=0)
             basis = np.delete(basis, drop)
         priced = int(keep.sum())
-        m = basis.shape[0]
 
+    return _phase2(lp, T, basis, nonbasic, priced, phase1, len(drop))
+
+
+def reprice(base: LpOutcome, objective) -> LpOutcome:
+    """Re-optimize base's program under another objective.
+
+    base must be an optimum from solve or reprice. Its final basis stays
+    feasible under any objective, so phase 2 resumes from a copy of its
+    tableau (base is left as it was) with the reduced costs priced afresh,
+    as solve prices them after phase 1, and runs the same pivot loop. The
+    outcome is OPTIMAL or UNBOUNDED, read as solve reads it; its stats
+    count phase 2 pivots only (no phase 1, no rows dropped), and an optimum
+    keeps the program with the new objective and its tableau, for the next
+    reprice or add_row.
+    """
+    program = base.program.with_objective(objective)
+    priced = int((base.nonbasic < program._layout.art_start).sum())
+    return _phase2(
+        program, base.tableau.copy(), base.basis.copy(), base.nonbasic.copy(), priced, _SKIPPED, 0
+    )
+
+
+def _phase2(
+    lp: LinearProgram, T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, priced: int,
+    phase1: _Phase, dropped_rows: int,
+) -> LpOutcome:
+    """Phase 2 from a feasible basis: price lp's objective into T's
+    reduced-cost row, pivot, and read the optimum or the improving ray."""
+    lay = lp._layout
+    m, n = basis.shape[0], lp.num_cols
+    ids = lay.ids
     cost = np.zeros(ids)
     cost[:n] = lp.objective
     T[m] = cost[basis] @ T[:m]
     T[m, :-1] -= cost[nonbasic]
+    bland_threshold = 3 * (lp.num_rows + n)
     budget = MAX_PIVOTS - phase1.pivots
+    free = lay.free if lay.free.any() else None
     phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, budget, priced, free)
-    stats = _stats(phase1, phase2, len(drop))
+    stats = _stats(phase1, phase2, dropped_rows)
     if phase2.unbounded is None:
         x, objective, duals = _optimum(lay, lp.objective, T, basis, nonbasic)
         return LpOutcome(
@@ -405,43 +450,58 @@ def solve_dual(
 ) -> LpOutcome | None:
     """Solve a program of <= and = rows with more rows than columns through
     its smaller LP dual: kept, the pair dual(program) returns, when the
-    caller keeps one, else dual(program) built here. x is minus the dual's row duals times scale,
-    clamped at 0 on nonnegative columns; the optimum also carries the dual's
-    optimum y as duals and stats with dualized set, but no tableau.
-
-    The answer certifies itself: x meets every row to FEASIBILITY_TOL times
-    its row_scale, and the duality gap |objective @ x - rhs @ y| is within
-    FEASIBILITY_TOL times the larger of |objective| @ |x| and |rhs| @ |y|.
-    The gap catches a misscaled x that feasibility alone would pass, as on
-    a cone, whose rows still hold when x grows. None, for the caller to
-    solve the program as written, when it has no more rows than columns, the
-    dual is not optimal or the answer is not certified: else the program is
-    infeasible or unbounded, or too close to it for the dual's answer to
-    stand.
+    caller keeps one, else dual(program) built here. None, for the caller to
+    solve the program as written, when it has no more rows than columns;
+    else read_dual's answer.
     """
     if program.num_rows <= program.num_cols:
         return None
     dual_program, scale = kept or dual(program)
-    outcome = solve(dual_program)
+    return read_dual(program, (dual_program, scale), solve(dual_program))
+
+
+def read_dual(
+    program: LinearProgram, kept: tuple[LinearProgram, float], outcome: LpOutcome
+) -> LpOutcome | None:
+    """program's optimum read off outcome, the solve of kept =
+    dual(program): x is minus the dual's row duals times scale, clamped at 0
+    on nonnegative columns; the optimum also carries the dual's optimum y
+    as duals and stats with dualized set, but no tableau. None when the dual
+    is not optimal or certifies(program, x, y) fails: then the program is
+    infeasible or unbounded, or too close to it for the dual's answer to
+    stand.
+    """
     if outcome.status != LpStatus.OPTIMAL:
         return None
+    dual_program, scale = kept
     x = 0.0 - scale * outcome.duals  # 0.0 - v turns a -0.0 dual into +0.0
     free = np.fromiter(map(_IS_FREE.__getitem__, program.domains), bool, program.num_cols)
     x[~free] = np.maximum(x[~free], 0.0)
-    slack = program.rhs - program.A @ x
-    allowed = FEASIBILITY_TOL * row_scale(program.A, program.rhs, x)
-    # the = rows are the dual's free columns
-    equal = dual_program._layout.free[: program.num_rows]
-    if (slack < -allowed).any() or (slack[equal] > allowed[equal]).any():
-        return None
     y = outcome.x
-    objective = float(program.objective @ x)
-    gap = abs(objective - float(program.rhs @ y))
-    size = max(float(np.abs(program.objective) @ np.abs(x)), float(np.abs(program.rhs) @ np.abs(y)))
-    if gap > FEASIBILITY_TOL * size:
+    # the = rows are the dual's free columns
+    if not certifies(program, x, y, dual_program._layout.free[: program.num_rows]):
         return None
     stats = replace(outcome.stats, dualized=True)
-    return LpOutcome(LpStatus.OPTIMAL, x=x, objective=objective, stats=stats, duals=y)
+    return LpOutcome(
+        LpStatus.OPTIMAL, x=x, objective=float(program.objective @ x), stats=stats, duals=y
+    )
+
+
+def certifies(program: LinearProgram, x: np.ndarray, y: np.ndarray, equal: np.ndarray) -> bool:
+    """Whether x and the row duals y certify an optimum of program, whose
+    = rows equal masks: x meets every row to FEASIBILITY_TOL times its
+    row_scale, and the duality gap |objective @ x - rhs @ y| is within
+    FEASIBILITY_TOL times the larger of |objective| @ |x| and |rhs| @ |y|.
+    The gap catches a misscaled x that feasibility alone would pass, as on
+    a cone, whose rows still hold when x grows.
+    """
+    slack = program.rhs - program.A @ x
+    allowed = FEASIBILITY_TOL * row_scale(program.A, program.rhs, x)
+    if (slack < -allowed).any() or (slack[equal] > allowed[equal]).any():
+        return False
+    gap = abs(float(program.objective @ x) - float(program.rhs @ y))
+    size = max(float(np.abs(program.objective) @ np.abs(x)), float(np.abs(program.rhs) @ np.abs(y)))
+    return gap <= FEASIBILITY_TOL * size
 
 
 def add_row(base: LpOutcome, coeffs, rhs: float) -> LpOutcome:

@@ -200,35 +200,53 @@ class NormalizedPolyhedron:
 
         The apex v solves [normals; A] v = [offsets; b] by least squares and
         stands only when every residual is within lp.FEASIBILITY_TOL times its
-        lp.row_scale. K1 = { z in the hull's direction space : normals @ z <= -1 }
-        is the unit-depth slice seen from the apex; the slice program over it
-        has a zero objective, which each cut replaces by -coeffs.
+        lp.row_scale, or within roundoff (lp._ROUNDOFF times |row|_1 |v|_inf),
+        which rows whose rhs and terms all vanish at v need. None too when
+        the slice program has no optimum. K1 = { z in the hull's
+        direction space : normals @ z <= -1 } is the unit-depth slice seen
+        from the apex. The slice program's objective, normals.sum(axis=0),
+        pushes every row toward tightness. A tall body (more rows, hull rows
+        included, than columns) keeps the slice program's LP dual; any other
+        keeps its optimal vertex, which has every free column basic when the
+        rows allow it.
         """
         n = self.dim
         A = np.vstack([self.normals, self.space.A])
         rhs = np.concatenate([self.offsets, self.space.b])
         apex = np.linalg.lstsq(A, rhs, rcond=None)[0]
-        if (np.abs(A @ apex - rhs) > lp.FEASIBILITY_TOL * lp.row_scale(A, rhs, apex)).any():
+        allowed = np.maximum(
+            lp.FEASIBILITY_TOL * lp.row_scale(A, rhs, apex),
+            lp._ROUNDOFF * np.abs(A).sum(axis=1) * np.abs(apex).max(initial=0.0),
+        )
+        if (np.abs(A @ apex - rhs) > allowed).any():
             return None
         bounds = np.zeros(rhs.shape[0])
         bounds[: self.num_rows] = -1.0
         relations = (lp.LESS_EQUAL,) * self.num_rows + (lp.EQUAL,) * self.space.num_equalities
         program = lp.LinearProgram(
-            frozen(np.zeros(n)), frozen(A), relations, frozen(bounds), (lp.FREE,) * n
+            frozen(self.normals.sum(axis=0)), frozen(A), relations, frozen(bounds), (lp.FREE,) * n
         )
-        return UnitSlice(frozen(apex), program, *lp.dual(program))
+        if rhs.shape[0] > n:
+            return UnitSlice(frozen(apex), program, lp.dual(program), None)
+        vertex = lp.solve(program)
+        if vertex.status != lp.LpStatus.OPTIMAL:
+            return None
+        return UnitSlice(frozen(apex), program, None, vertex)
 
 
 class UnitSlice(NamedTuple):
     """A body whose rows are all tight at apex: shrunk by lam > 0 it is
-    apex + lam * K1 (NormalizedPolyhedron.unit_slice). program is max 0 @ z
-    s.t. normals @ z <= -1, A z = 0, z free; dual and scale are
-    lp.dual(program), kept so that a cut swaps only the dual's rhs."""
+    apex + lam * K1 (NormalizedPolyhedron.unit_slice). program is
+    max objective @ z s.t. normals @ z <= -1, A z = 0, z free, and a cut
+    swaps the objective for -coeffs. A tall body keeps dual, the pair
+    lp.dual(program), so that a cut swaps only the dual's rhs; any other
+    keeps vertex, program's optimum from lp.solve, which a cut re-prices
+    (lp.reprice)."""
 
     apex: np.ndarray
     program: lp.LinearProgram
-    dual: lp.LinearProgram
-    scale: float
+    dual: tuple[lp.LinearProgram, float] | None
+    vertex: lp.LpOutcome | None
 
 
 def normalize(poly: HPolyhedron) -> NormalizedPolyhedron:

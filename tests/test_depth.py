@@ -778,14 +778,18 @@ class TestDualSide:
             assert body.unit_slice is None
         assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
 
-    def test_square_and_warm_bodies_build_no_slice(self):
-        # only a tall body without a cached optimum reaches the slice, so
-        # no other body pays for its apex
+    def test_only_tall_bodies_keep_the_slice_dual(self):
+        # a tall body keeps the slice's dual, a square one a vertex of the
+        # slice program, and a body with a cached optimum builds no slice
+        tall = normalize(depth_lower_bound_cone(5, 1e-4).polyhedron)
         square = normalize(depth_lower_bound_cone(2, 1e-4).polyhedron)
         warm = box([0.0, 0.0], [1.0, 3.0])
-        for body in (square, warm):
-            cut_depth(body, Cut([-1.0, 0.0], 0.0))
-            assert "unit_slice" not in body.__dict__
+        for body in (tall, square, warm):
+            cut_depth(body, Cut(-np.eye(body.dim)[0], 0.0))
+        assert tall.unit_slice.dual is not None and tall.unit_slice.vertex is None
+        assert square.unit_slice.dual is None
+        assert square.unit_slice.vertex.status == lp.LpStatus.OPTIMAL
+        assert "unit_slice" not in warm.__dict__
 
     def test_square_program_stays_primal(self):
         # n = 2: two body rows and the cut on three columns (x, lam)
@@ -810,6 +814,121 @@ class TestDualSide:
         assert not result.stats.dualized
         assert result.value == reference.value
         assert result.point.tobytes() == reference.point.tobytes()
+
+
+def _square_cone(rng, n, hull=0):
+    """(body, cuts): a simplicial cone { x : A x <= A apex } from n seeded
+    rows in R^n, or in R^(n + hull) on `hull` seeded hull rows, so that it
+    has as many rows, hull rows included, as columns; with cuts of every
+    kind. -A^T w with w > 0 lies inside the dual cone: such a cut through
+    the apex or beyond it has finite depth, one short of it removes
+    nothing. A^T w lies outside: its cuts have unbounded depth."""
+    A = rng.standard_normal((n, n))
+    apex = rng.uniform(-2.0, 2.0, n)
+    cuts = []
+    for _ in range(3):
+        inside = -A.T @ rng.uniform(0.1, 1.0, n)
+        edge = float(np.linalg.norm(inside))
+        for rhs in (rng.uniform(0.1, 2.0) * edge, 0.0, -edge):
+            cuts.append(Cut(inside, float(inside @ apex) + rhs))
+        outside = A.T @ rng.uniform(0.1, 1.0, n)
+        cuts.append(Cut(outside, float(outside @ apex) + rng.uniform(-1.0, 1.0)))
+    if not hull:
+        return HPolyhedron(A, A @ apex, AffineSpace.full_space(n)), cuts
+    L = rng.standard_normal((hull, n + hull))
+    lifted = np.hstack([A, np.zeros((n, hull))])
+    point = np.append(apex, rng.standard_normal(hull))
+    cuts = [Cut(np.append(cut.coeffs, np.zeros(hull)), cut.rhs) for cut in cuts]
+    return HPolyhedron(lifted, A @ apex, AffineSpace(L, L @ point)), cuts
+
+
+def _square_cones():
+    for seed in range(8):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(2, 7))
+        yield _square_cone(rng, n, hull=seed % 3)
+
+
+def _scaled_cone(cone, cuts, t):
+    """The cone and its cuts with every offset and rhs scaled by t."""
+    scaled = HPolyhedron(cone.A, t * cone.b, AffineSpace(cone.space.A, t * cone.space.b))
+    return normalize(scaled), [Cut(cut.coeffs, t * cut.rhs) for cut in cuts]
+
+
+class TestSquareSlice:
+    """A body without a cached optimum that is not tall (no more rows, hull
+    rows included, than columns) re-prices one cached vertex of its unit-depth
+    slice per cut (lp.reprice); an unbounded cut solves the depth program."""
+
+    def test_square_cones_at_every_scale(self):
+        kinds = set()
+        for cone, cuts in _square_cones():
+            for t in 10.0 ** np.arange(-8, 9, 2):
+                body, scaled = _scaled_cone(cone, cuts, t)
+                assert body.chebyshev.status == lp.LpStatus.UNBOUNDED
+                for cut in scaled:
+                    result = cut_depth(body, cut)
+                    reference = _primal(body, cut)
+                    assert result.kind == reference.kind, (t, cut)
+                    assert not result.stats.dualized
+                    kinds.add(result.kind)
+                    if result.kind == DepthKind.UNBOUNDED:
+                        assert result.ray.tobytes() == reference.ray.tobytes()
+                        continue
+                    assert result.stats.phase1_pivots == 0
+                    if result.is_finite:
+                        expected = pytest.approx(reference.value, rel=1e-9, abs=1e-12 * t)
+                        assert result.value == expected
+                        size = max(abs(cut.rhs), float(np.abs(cut.coeffs) @ np.abs(result.point)))
+                        assert cut.coeffs @ result.point <= cut.rhs + 1e-9 * size
+                        depth = point_depth(body, result.point)
+                        assert depth >= result.value * (1.0 - 1e-9) - 1e-12 * t
+                assert body.unit_slice.vertex is not None
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
+
+    def test_square_cones_against_highs(self):
+        kinds = set()
+        for cone, cuts in _square_cones():
+            body = normalize(cone)
+            for cut in cuts:
+                kind, value = depth_by_highs(body, cut)
+                result = cut_depth(body, cut)
+                assert result.kind == kind, cut
+                if kind == DepthKind.FINITE:
+                    assert result.value == pytest.approx(value, rel=1e-6, abs=1e-7)
+                kinds.add(kind)
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
+
+    def test_unbounded_slice_solves_only_the_depth_program(self, monkeypatch):
+        # the slice proves the depth unbounded, so only the ray is left to
+        # find: no solve of the depth program's dual
+        for body in (normalize(depth_lower_bound_cone(7, 1e-4).polyhedron),
+                     normalize(_square_cone(np.random.default_rng(3), 4)[0])):
+            deep = Cut(np.eye(body.dim)[0], 0.0)
+            cut_depth(body, deep)
+            programs = _recorded_solves(monkeypatch)
+            result = cut_depth(body, deep)
+            monkeypatch.undo()
+            reference = _primal(body, deep)
+            assert result.kind == reference.kind == DepthKind.UNBOUNDED
+            assert result.ray.tobytes() == reference.ray.tobytes()
+            rows = [program.num_rows for program in programs[:-1]]
+            assert rows == ([body.dim] if body.unit_slice.vertex is None else [])
+            assert programs[-1].A.tobytes() == body.depth_program(deep).A.tobytes()
+
+    def test_apex_residuals_get_a_roundoff_floor(self):
+        # rows 3 and 4 of this corner's [normals; A] have a zero rhs and zero
+        # terms at the apex, so lstsq's roundoff is all their residual
+        corner = CornerData([-1.75, -0.875, 0.0, 0.0],
+                            [[-0.5, -0.375], [1.625, -1.25], [0.0, -1.0], [-2.0, 1.0]])
+        body = standard_form_model(corner).body
+        assert body.unit_slice.vertex is not None
+        np.testing.assert_allclose(body.unit_slice.apex[:4], corner.base_point, atol=1e-15)
+        # a residual of 1e-3 is no roundoff
+        cone = depth_lower_bound_cone(6, 1e-4).polyhedron
+        offsets = cone.b.copy()
+        offsets[3] += 1e-3
+        assert normalize(HPolyhedron(cone.A, offsets, cone.space)).unit_slice is None
 
 
 def _bounded_model(rng, n, equalities, pin=False):
@@ -872,21 +991,15 @@ class TestStandardFormWarmStart:
         assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED}
         assert pivoted >= 4
 
-    def test_not_violated_cut_costs_one_solve(self, monkeypatch):
+    def test_not_violated_cut_costs_no_solve(self, monkeypatch):
         model, cuts = next(_corner_models(4, 1))
         finite, vacuous = cuts[:2]
         assert cut_depth_standard_form(model, finite).kind == DepthKind.FINITE
         assert model.body.chebyshev.status == lp.LpStatus.UNBOUNDED
-        solves = []
-        solve = lp.solve
-
-        def counted(program):
-            solves.append(program)
-            return solve(program)
-
-        monkeypatch.setattr(lp, "solve", counted)
+        programs = _recorded_solves(monkeypatch)
+        # the vertex cached by the first cut is re-priced; nothing is solved
         assert cut_depth_standard_form(model, vacuous).kind == DepthKind.NOT_VIOLATED
-        assert len(solves) == 1
+        assert programs == []
 
     def test_empty_model_raises_on_every_call(self):
         model = StandardFormModel(AffineSpace([[1.0, 1.0]], [5.0]), np.zeros(2), np.ones(2))
@@ -1007,10 +1120,10 @@ class TestOrderInvariance:
                 for perm in perms:
                     renamed = Cut(cut.coeffs[perm], cut.rhs)
                     _same_depth(cut_depth_standard_form(_permuted(model, perm), renamed), reference)
+        # the corners' finite and not-violated cuts re-price a cached vertex
+        # of their unit-depth slice without a pivot; unbounded ones solve
         assert kinds == {
-            (DepthKind.FINITE, True), (DepthKind.NOT_VIOLATED, True),
-            (DepthKind.FINITE, False), (DepthKind.NOT_VIOLATED, False),
-            (DepthKind.UNBOUNDED, False),
+            (DepthKind.FINITE, True), (DepthKind.NOT_VIOLATED, True), (DepthKind.UNBOUNDED, False),
         }
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -451,6 +453,73 @@ class TestAddRow:
         np.testing.assert_allclose(out.x, [-0.5, 1.0], atol=1e-12)
         assert out.stats.dual_pivots == 1
         assert_outcome_invariants(self._extended(prog, [1.0, 1.0], 0.5), out)
+
+
+class TestReprice:
+    """reprice re-optimizes an optimum under another objective from its
+    tableau; the result matches solve on the program with that objective."""
+
+    def _agrees(self, base, objective):
+        """reprice(base, objective) against a cold solve; returns it."""
+        program = replace(base.program, objective=np.asarray(objective, dtype=float))
+        before = base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes()
+        out = lp.reprice(base, objective)
+        cold = checked_solve(program)
+        assert before == (base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes())
+        assert out.status == cold.status
+        assert out.stats.phase1_pivots == out.stats.dual_pivots == 0
+        assert_outcome_invariants(program, out)
+        if cold.status == LpStatus.OPTIMAL:
+            size = float(np.abs(program.objective) @ np.abs(cold.x))
+            assert out.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9 * size)
+            assert_duals_certify(program, out)
+            assert out.program.objective.tobytes() == program.objective.tobytes()
+        return out
+
+    def test_matches_solve_under_the_new_objective(self):
+        rng = np.random.default_rng(23)
+        checked = pivoted = 0
+        while checked < 80:
+            # <=, >= and = rows over nonnegative columns, then free columns too
+            prog = random_bounded_instance(rng) if checked % 2 else _boxed_program(rng)
+            base = lp.solve(prog)
+            if base.status != LpStatus.OPTIMAL:
+                continue
+            out = self._agrees(base, rng.standard_normal(prog.num_cols))
+            pivoted += out.stats.phase2_pivots > 0
+            # an optimum from reprice is itself a warm start
+            back = self._agrees(out, prog.objective)
+            assert back.objective == pytest.approx(base.objective, rel=1e-9, abs=1e-9)
+            checked += 1
+        assert pivoted > 40
+
+    def test_a_dropped_row_keeps_a_zero_dual(self):
+        prog = make_lp(
+            [1.0, 1.0],
+            [[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
+            [EQUAL, EQUAL, LESS_EQUAL],
+            [2.0, 2.0, 1.5],
+            [NONNEGATIVE, NONNEGATIVE],
+        )
+        base = lp.solve(prog)
+        assert base.stats.dropped_rows == 1
+        for objective in ([2.0, -1.0], [-1.0, 3.0]):
+            out = self._agrees(base, objective)
+            assert (out.duals[:2] == 0.0).any()
+
+    def test_rejects_a_malformed_objective(self):
+        base = lp.solve(make_lp([1.0, 1.0], np.eye(2), [LESS_EQUAL] * 2, [1.0, 2.0],
+                                [NONNEGATIVE] * 2))
+        for objective in ([1.0], [1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                lp.reprice(base, objective)
+
+    def test_unbounded_objectives(self):
+        for prog in _unbounded_programs(37, 10):
+            base = lp.solve(replace(prog, objective=np.zeros(prog.num_cols)))
+            assert base.status == LpStatus.OPTIMAL
+            out = self._agrees(base, prog.objective)
+            assert out.status == LpStatus.UNBOUNDED
 
 
 def _highs(program):
