@@ -1,7 +1,8 @@
 """Self-contained dense two-phase simplex solver, with a dual simplex that
 re-optimizes an optimum after one more row (add_row), a phase 2 that
-re-optimizes it under another objective (reprice), and solve_dual, which
-solves a program with many more rows than columns through its LP dual.
+re-optimizes it under another objective (solve started from it, as reprice
+calls it), and solve_dual, which solves a program with many more rows than
+columns through its LP dual.
 
 Maximizes a linear objective subject to <=, =, >= rows over free or
 nonnegative variables, one column per variable; a free column enters in
@@ -306,8 +307,23 @@ def _optimum(
     return x, value, lay.dual_sign * reduced[lay.col_id]
 
 
-def solve(lp: LinearProgram) -> LpOutcome:
-    """Solve the program; see LpOutcome for the result contract."""
+def solve(lp: LinearProgram, start: LpOutcome | None = None) -> LpOutcome:
+    """Solve the program; see LpOutcome for the result contract.
+
+    start, an optimum that solve kept for a program with lp's rows (reprice
+    passes one), skips phase 1: its final basis is feasible under any
+    objective, so phase 2 resumes from a copy of its tableau (start is left
+    as it was) with the reduced costs priced afresh.
+    """
+    if start is not None:
+        rows = ("A", "relations", "rhs", "domains")
+        if start.tableau is None or any(
+            getattr(start.program, name) is not getattr(lp, name) for name in rows
+        ):
+            raise ValueError("start must be an optimum kept by solve for a program with these rows")
+        priced = int((start.nonbasic < lp._layout.art_start).sum())
+        T, basis, nonbasic = start.tableau.copy(), start.basis.copy(), start.nonbasic.copy()
+        return _phase2(lp, T, basis, nonbasic, priced, _SKIPPED, 0)
     m, n = lp.num_rows, lp.num_cols
     lay = lp._layout
     free = lay.free if lay.free.any() else None
@@ -368,22 +384,16 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
 
 def reprice(base: LpOutcome, objective) -> LpOutcome:
-    """Re-optimize base's program under another objective.
+    """Re-optimize base's program under another objective: solve, started
+    from base, an optimum from solve or reprice.
 
-    base must be an optimum from solve or reprice. Its final basis stays
-    feasible under any objective, so phase 2 resumes from a copy of its
-    tableau (base is left as it was) with the reduced costs priced afresh,
-    as solve prices them after phase 1, and runs the same pivot loop. The
-    outcome is OPTIMAL or UNBOUNDED, read as solve reads it; its stats
-    count phase 2 pivots only (no phase 1, no rows dropped), and an optimum
-    keeps the program with the new objective and its tableau, for the next
-    reprice or add_row.
+    Phase 2 runs the same pivot loop as solve's from a copy of base's
+    tableau. The outcome is OPTIMAL or UNBOUNDED; its stats count phase 2
+    pivots only (no phase 1, no rows dropped), and an optimum keeps the
+    program with the new objective and its tableau, for the next reprice
+    or add_row.
     """
-    program = base.program.with_objective(objective)
-    priced = int((base.nonbasic < program._layout.art_start).sum())
-    return _phase2(
-        program, base.tableau.copy(), base.basis.copy(), base.nonbasic.copy(), priced, _SKIPPED, 0
-    )
+    return solve(base.program.with_objective(objective), start=base)
 
 
 def _phase2(

@@ -590,13 +590,15 @@ def _primal(body, cut):
 
 
 def _recorded_solves(monkeypatch):
-    """The list of programs that lp.solve is called on from here on."""
+    """The list of programs that lp.solve solves from scratch from here on;
+    a re-price (a solve with a start) is not one."""
     programs = []
     solve = lp.solve
 
-    def recorded(program):
-        programs.append(program)
-        return solve(program)
+    def recorded(program, start=None):
+        if start is None:
+            programs.append(program)
+        return solve(program, start=start)
 
     monkeypatch.setattr(lp, "solve", recorded)
     return programs

@@ -514,6 +514,18 @@ class TestReprice:
             with pytest.raises(ValueError):
                 lp.reprice(base, objective)
 
+    def test_solve_refuses_a_start_of_other_rows(self):
+        prog = make_lp([1.0, 1.0], np.eye(2), [LESS_EQUAL] * 2, [1.0, 2.0], [NONNEGATIVE] * 2)
+        base = lp.solve(prog)
+        assert lp.solve(prog.with_objective([2.0, 1.0]), start=base).objective == 4.0
+        # equal rows, but not the start's own, which its tableau describes
+        with pytest.raises(ValueError):
+            lp.solve(replace(prog, rhs=np.array([1.0, 2.0])), start=base)
+        # an unbounded outcome keeps no tableau
+        unbounded = lp.solve(make_lp([1.0], [[-1.0]], [LESS_EQUAL], [1.0], [NONNEGATIVE]))
+        with pytest.raises(ValueError):
+            lp.solve(prog, start=unbounded)
+
     def test_unbounded_objectives(self):
         for prog in _unbounded_programs(37, 10):
             base = lp.solve(replace(prog, objective=np.zeros(prog.num_cols)))
