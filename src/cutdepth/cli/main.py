@@ -114,14 +114,15 @@ def cmd_depth(args) -> int:
         method = "closed-form" if inst.kind == CORNER else "lp"
     if method != "lp" and inst.kind != CORNER:
         raise InstanceError("closed-form depth requires a corner instance; use --method lp")
-    primary = "lp" if method == "both" else method
-    # built even without cuts, so that a malformed body is reported either way
-    body = _body(inst) if primary == "lp" else None
+    # built once per instance, even without cuts, so that a malformed body or
+    # cone is reported either way; --method both solves its LP on the cone's body
+    cone = None if method == "lp" else build_corner(inst.polyhedron)
+    body = _body(inst) if cone is None else (cone.body if method == "both" else None)
     records = []
     disagreements = 0
     for index, cut in enumerate(inst.cuts):
         if body is None:
-            result = corner_cut_depth(build_corner(inst.polyhedron), cut)
+            result = corner_cut_depth(cone, cut)
         else:
             result = cut_depth(body, cut)
         record = {"index": index, **_depth_result_dict(result)}
@@ -134,7 +135,7 @@ def cmd_depth(args) -> int:
         else:
             record["bound_respected"] = None
         if method == "both":
-            other = corner_cut_depth(build_corner(inst.polyhedron), cut)
+            other = corner_cut_depth(cone, cut)
             agrees = other.kind == result.kind and (
                 result.kind != DepthKind.FINITE
                 or abs(other.value - result.value) <= BOUND_TOL

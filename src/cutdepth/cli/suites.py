@@ -23,9 +23,8 @@ from ..corner import (
     build_corner,
     corner_cut_depth,
     embed_cut_coeffs,
-    standard_form_model,
 )
-from ..depth import DepthKind, cut_depth, cut_depth_standard_form, point_depth
+from ..depth import DepthKind, cut_depth, point_depth
 from ..polyhedron import AffineSpace, Cut, HPolyhedron, normalize
 
 DEFAULT_TOL = 1e-7
@@ -150,21 +149,20 @@ def random_corner(rng: np.random.Generator, index: int) -> RandomCorner:
 def corner_equivalence_suite(
     count: int = 200, seed: int = 1, tol: float = DEFAULT_TOL
 ) -> list[CheckRecord]:
-    """Closed-form corner depth against the standard-form depth LP: kinds
-    must agree and finite values must match within tol."""
+    """Closed-form corner depth against the depth LP over the cone's own
+    normalized body: kinds must agree and finite values match within tol."""
     rng = np.random.default_rng(seed)
     records = []
     for index in range(count):
         corner = random_corner(rng, index)
         cone = build_corner(corner.data)
-        model = standard_form_model(corner.data)
         worst = 0.0
         kinds = []
         ok = True
         for cut, expected_kind in corner.cuts:
             closed = corner_cut_depth(cone, cut)
             full = Cut(embed_cut_coeffs(cone, cut.coeffs), cut.rhs)
-            via_lp = cut_depth_standard_form(model, full)
+            via_lp = cut_depth(cone.body, full)
             kinds.append(closed.kind.value)
             if closed.kind != via_lp.kind or closed.kind.value != expected_kind:
                 ok = False

@@ -10,7 +10,7 @@ from cutdepth.cli.files import load_instance, parse_instance
 from cutdepth.cli.main import main
 from cutdepth.cli.suites import _box_membership_program
 from cutdepth.corner import build_corner, corner_cut_depth
-from cutdepth.depth import cut_depth
+from cutdepth.depth import cut_depth, from_standard_form
 from cutdepth.errors import InstanceError
 from cutdepth.polyhedron import normalize
 
@@ -250,6 +250,30 @@ class TestCornerCutLift:
         assert [r["kind"] for r in cut_records] == ["finite", "unbounded", "not-violated"]
         assert cut_records[0]["bounds"]["intersection"] > 0
         assert (cut_records, bound_records) == self._reports(tmp_path, lifted, "xs")
+
+    @pytest.mark.parametrize(
+        "method, builds", [("auto", 1), ("closed-form", 1), ("both", 1), ("lp", 0)]
+    )
+    def test_one_body_per_instance(self, method, builds, tmp_path, monkeypatch):
+        # work, not time: the cone and its body are built once for all three cuts,
+        # and --method both solves the LP on the cone's body
+        calls = {"build": 0, "normalize": 0}
+
+        def counting(key, fn):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr("cutdepth.cli.main.build_corner", counting("build", build_corner))
+        normalize_counted = counting("normalize", from_standard_form)
+        for site in ("cutdepth.corner", "cutdepth.cli.main"):
+            monkeypatch.setattr(f"{site}.from_standard_form", normalize_counted)
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps({"polyhedron": self.CORNER, "cuts": self.CUTS_ON_S}))
+        assert main(["depth", "--in", str(path), "--method", method]) == 0
+        assert calls == {"build": builds, "normalize": 1}
 
     def test_basic_coefficient_rules_out_the_intersection_bound(self, tmp_path):
         cuts = [{"alpha": [0.5, 0.0, 2.0, 2.0, 1.0], "beta": 1.0}]
@@ -544,9 +568,20 @@ BIG_CORNER = {
         (["depth", "--method", "lp"], {**BIG_ROW, "cuts": [{"alpha": [1, 1], "beta": 0.5}]}),
         (["depth"], BIG_CORNER),
         (["depth", "--method", "both"], BIG_CORNER),
+        # the cone is built before the cut loop, so no cut is needed to reach it
+        (["depth"], {**BIG_CORNER, "cuts": []}),
+        (["depth", "--method", "closed-form"], {**BIG_CORNER, "cuts": []}),
         (["point-depth"], BIG_CORNER),
     ],
-    ids=["row-point-depth", "row-depth", "corner-depth", "corner-depth-both", "corner-point-depth"],
+    ids=[
+        "row-point-depth",
+        "row-depth",
+        "corner-depth",
+        "corner-depth-both",
+        "corner-depth-no-cuts",
+        "corner-closed-form-no-cuts",
+        "corner-point-depth",
+    ],
 )
 def test_entries_whose_norms_overflow_exit_2(argv, instance, tmp_path, capsys):
     # a row norm or a hull Gram entry beyond the double range; pytest turns
