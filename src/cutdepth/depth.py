@@ -9,7 +9,7 @@ and the latter is a linear program over the shrunken bodies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,18 +34,20 @@ class DepthResult:
     """Outcome of a cut-depth computation.
 
     Finite results carry the value and, when the LP attained it, a deepest
-    removed point. Unbounded results surface a recession direction along
-    which removed points of arbitrary depth exist. LP results carry the
-    SolveStats of the solve that produced them; a cut re-optimized from the
-    body's cached optimum shows dual pivots only, no phase 1 or 2 pivots,
-    and none at all when it removes the cached Chebyshev centre, which is
-    then its deepest point (lp.add_row answers it in O(n), with no tableau
-    copy). One read off a dual has dualized set: the dual of a tall cone's
-    unit-depth slice (a finite or not-violated cut, certified by its
-    duality gap; see _slice_depth), or the dual of the depth LP. One that
-    re-priced the cached vertex of any other cone's unit-depth slice shows
-    phase 2 pivots only, none on a simplicial cone, and is certified the
-    same way.
+    removed point. Unbounded results surface a ray along which removed
+    points of arbitrary depth exist: from the corner closed form or a
+    re-priced unit-depth slice, a recession direction of the body on which
+    the cut decreases; from a depth LP solved as written, the LP's
+    improving ray over x. LP results carry the SolveStats of the solve that
+    produced them; a cut re-optimized from the body's cached optimum shows
+    dual pivots only, no phase 1 or 2 pivots, and none at all when it
+    removes the cached Chebyshev centre, which is then its deepest point
+    (lp.add_row answers it in O(n), with no tableau copy). One read off a
+    dual has dualized set: the dual of a tall cone's unit-depth slice (a
+    finite or not-violated cut, certified by its duality gap; see
+    _slice_depth), or the dual of the depth LP. One that re-priced the
+    cached vertex of any other cone's unit-depth slice shows phase 2 pivots
+    only, and on a simplicial cone none at all, whatever its kind.
     """
 
     kind: DepthKind
@@ -122,11 +124,12 @@ def cut_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult:
     corner closed form generalized to its unit-depth slice (_slice_depth):
     a tall body (more rows, hull rows included, than columns) makes one
     n-row solve of the slice's cached dual, any other re-prices one cached
-    vertex of the slice program, with no pivot on a simplicial cone. A
-    slice that proves the depth unbounded leaves the depth LP to solve as
-    written, for the ray. Otherwise, or when the slice's answer does not
-    certify itself, the depth LP is solved from scratch, through its LP
-    dual when that certifies an optimum (lp.solve_dual).
+    vertex of the slice program, with no pivot and no tableau copy on a
+    simplicial cone. A re-price that proves the depth unbounded gives the
+    ray too; a tall body's slice leaves the depth LP to solve as written,
+    for the ray. Otherwise, or when the slice's answer or ray does not
+    check out, the depth LP is solved from scratch, through its LP dual
+    when that certifies an optimum (lp.solve_dual).
     """
     if cut.dim != poly.dim:
         raise ValueError(f"cut has dimension {cut.dim}, expected {poly.dim}")
@@ -156,12 +159,19 @@ def _slice_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
     mu comes from the slice program with the objective -coeffs: on a tall
     body from its cached dual with the rhs swapped (lp.read_dual), on any
     other by re-pricing its cached vertex (lp.reprice). The optimum must
-    certify itself (lp.certifies) and mu be clearly positive: above
-    FEASIBILITY_TOL times |coeffs| @ |z|. A cut that misses the apex by
-    more than FEASIBILITY_TOL times max(|rhs|, |coeffs| @ |apex|) removes
-    nothing; any other has depth max(delta, 0) / mu at apex + lam * z.
-    When the slice program is unbounded (its dual infeasible), so is the
-    depth: the depth program, solved as written, gives the ray.
+    certify itself: close its duality gap (lp.gap_closes) and meet the
+    slice rows (lp.feasible), which unit_slice checked once for the cached
+    vertex and which a re-price checks again only when a pivot moved z.
+    mu must be clearly positive: above FEASIBILITY_TOL times
+    |coeffs| @ |z|. A cut that misses the apex by more than FEASIBILITY_TOL
+    times max(|rhs|, |coeffs| @ |apex|) removes nothing; any other has
+    depth max(delta, 0) / mu at apex + lam * z.
+
+    When the slice program is unbounded, so is the depth. A re-price's ray
+    r over z is the answer's ray when it checks out as a recession
+    direction of the body on which the cut decreases (_is_descent_ray),
+    else None; a tall body's dual gives no ray, so the depth program,
+    solved as written, gives it.
     """
     unit = poly.unit_slice
     if unit is None:
@@ -169,21 +179,26 @@ def _slice_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
     objective = frozen(-cut.coeffs)
     if unit.vertex is None:
         dual, scale = unit.dual
-        dual = replace(dual, rhs=objective)
+        dual = dual.with_rhs(objective)
         answer = lp.solve(dual)
-        unbounded = answer.status == lp.LpStatus.INFEASIBLE
+        if answer.status == lp.LpStatus.INFEASIBLE:
+            return _depth_result(lp.solve(poly.depth_program(cut)), poly.dim)
         outcome = lp.read_dual(unit.program.with_objective(objective), (dual, scale), answer)
+        if outcome is None:
+            return None
     else:
         outcome = lp.reprice(unit.vertex, objective)
-        unbounded = outcome.status == lp.LpStatus.UNBOUNDED
-        # the slice program's = rows are the hull rows, after the body's
-        equal = np.arange(unit.program.num_rows) >= poly.num_rows
-        if unbounded or not lp.certifies(outcome.program, outcome.x, outcome.duals, equal):
-            outcome = None
-    if unbounded:
-        return _depth_result(lp.solve(poly.depth_program(cut)), poly.dim)
-    if outcome is None:
-        return None
+        if outcome.status == lp.LpStatus.UNBOUNDED:
+            if not _is_descent_ray(poly, cut.coeffs, outcome.ray):
+                return None
+            return DepthResult.unbounded(outcome.ray, outcome.stats)
+        if outcome.stats.phase2_pivots:
+            # the slice program's = rows are the hull rows, after the body's
+            equal = np.arange(unit.program.num_rows) >= poly.num_rows
+            if not lp.feasible(outcome.program, outcome.x, equal):
+                return None
+        if not lp.gap_closes(outcome.program, outcome.x, outcome.duals):
+            return None
     z = outcome.x
     mu = -outcome.objective
     abs_coeffs = np.abs(cut.coeffs)
@@ -196,6 +211,21 @@ def _slice_depth(poly: NormalizedPolyhedron, cut: Cut) -> DepthResult | None:
     if not math.isfinite(lam):
         raise NumericOverflow("the cut's depth overflows; rescale the cut")
     return DepthResult.finite(lam, unit.apex + lam * z, outcome.stats)
+
+
+def _is_descent_ray(poly: NormalizedPolyhedron, coeffs: np.ndarray, ray: np.ndarray) -> bool:
+    """Whether ray is a recession direction of the body on which the cut
+    decreases: normals @ ray <= 0, space.A @ ray = 0 and coeffs @ ray < 0,
+    each beyond roundoff, lp._ROUNDOFF times |row|_1 |ray|_inf: the scale of
+    the error that a computed ray's entries carry, as unit_slice allows the
+    apex."""
+    size = lp._ROUNDOFF * np.abs(ray).max(initial=0.0)
+    hull = poly.space.A
+    return bool(
+        (poly.normals @ ray <= size * np.abs(poly.normals).sum(axis=1)).all()
+        and (np.abs(hull @ ray) <= size * np.abs(hull).sum(axis=1)).all()
+        and coeffs @ ray < -size * np.abs(coeffs).sum()
+    )
 
 
 def cut_depth_standard_form(model: StandardFormModel, cut: Cut) -> DepthResult:

@@ -16,8 +16,11 @@ fixed number of degenerate pivots. An optimum keeps its final tableau, from
 which the row duals are read and from which add_row and reprice start; a row
 that the optimum already meets costs add_row one dot product and no tableau
 copy, and an objective under which the optimal basis stays optimal costs
-reprice one pricing pass and no pivot. An answer read from elsewhere, as
-solve_dual's off the dual, stands only when certifies passes it.
+reprice one pricing pass, no pivot and no tableau copy (a screened optimum,
+which like add_row's answers keeps no tableau). An answer read from
+elsewhere, as solve_dual's off the dual, stands only when certifies passes
+it; certifies is feasible (the rows) and gap_closes (the duality gap), which
+a caller whose x is fixed can run apart.
 """
 
 from __future__ import annotations
@@ -106,6 +109,21 @@ class LinearProgram:
         program.__dict__.update(self.__dict__, objective=objective)
         return program
 
+    def with_rhs(self, rhs) -> "LinearProgram":
+        """This program with another rhs, of which only the rhs is
+        validated: A, the relations and the domains are this program's, and
+        so is the per-column part of the layout; the per-row part, which
+        follows the rhs's signs, is laid out afresh."""
+        rhs = as_vector(rhs, "rhs")
+        if rhs.shape != self.rhs.shape:
+            raise ValueError(f"rhs has length {rhs.shape[0]}, expected {self.num_rows}")
+        program = object.__new__(LinearProgram)
+        program.__dict__.update(self.__dict__, rhs=rhs)
+        program.__dict__["_layout"] = _lay_out(
+            self.relations, rhs, self._layout.free[: self.num_cols]
+        )
+        return program
+
     @property
     def num_rows(self) -> int:
         return self.A.shape[0]
@@ -117,25 +135,8 @@ class LinearProgram:
     @cached_property
     def _layout(self) -> "_Layout":
         """How solve lays this program out as columns; see _Layout."""
-        n = self.num_cols
-        row_sign = np.where(self.rhs < 0.0, -1.0, 1.0)
-        sense = np.fromiter(map(_SENSE.__getitem__, self.relations), float, self.num_rows)
-        sense *= row_sign
-        ineq = sense != 0.0
-        art = sense <= 0.0
-        slack_id = n + np.cumsum(ineq) - 1
-        art_start = n + int(ineq.sum())
-        art_id = art_start + np.cumsum(art) - 1
-        ids = art_start + int(art.sum())
-        free = np.zeros(ids, dtype=bool)
-        free[:n] = np.fromiter(map(_IS_FREE.__getitem__, self.domains), bool, n)
-        # a slack enters its (negated) row with coefficient sense, an artificial
-        # with +1; undoing the negation gives the dual of the row as written
-        return _Layout(
-            free, row_sign, sense, slack_id, art_id, art_start, ids,
-            col_id=np.where(ineq, slack_id, art_id),
-            dual_sign=np.where(ineq, sense, 1.0) * row_sign,
-        )
+        free = np.fromiter(map(_IS_FREE.__getitem__, self.domains), bool, self.num_cols)
+        return _lay_out(self.relations, self.rhs, free)
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,10 @@ class LpOutcome:
 
     An optimum from solve or reprice also keeps the program, its final
     condensed tableau and the original column ids of the tableau's basic
-    rows and nonbasic columns: the warm start of add_row and reprice.
+    rows and nonbasic columns: the warm start of add_row and reprice. A
+    screened optimum, one that solve found at its start's basis without a
+    pivot, keeps the program but, like add_row's answers, no tableau, so it
+    starts nothing.
     """
 
     status: LpStatus
@@ -198,6 +202,30 @@ class _Layout(NamedTuple):
     dual_sign: np.ndarray  # per row: dual = dual_sign * reduced cost of col_id
 
 
+def _lay_out(relations: tuple[str, ...], rhs: np.ndarray, free_columns: np.ndarray) -> _Layout:
+    """The _Layout of a program with these row relations and rhs, whose
+    free columns free_columns masks."""
+    n = free_columns.shape[0]
+    row_sign = np.where(rhs < 0.0, -1.0, 1.0)
+    sense = np.fromiter(map(_SENSE.__getitem__, relations), float, rhs.shape[0])
+    sense *= row_sign
+    ineq = sense != 0.0
+    art = sense <= 0.0
+    slack_id = n + np.cumsum(ineq) - 1
+    art_start = n + int(ineq.sum())
+    art_id = art_start + np.cumsum(art) - 1
+    ids = art_start + int(art.sum())
+    free = np.zeros(ids, dtype=bool)
+    free[:n] = free_columns
+    # a slack enters its (negated) row with coefficient sense, an artificial
+    # with +1; undoing the negation gives the dual of the row as written
+    return _Layout(
+        free, row_sign, sense, slack_id, art_id, art_start, ids,
+        col_id=np.where(ineq, slack_id, art_id),
+        dual_sign=np.where(ineq, sense, 1.0) * row_sign,
+    )
+
+
 def _pivot(T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col: int) -> None:
     """Tucker pivot: exchange the basic variable of row with the nonbasic
     variable of col. Every row, the reduced-cost row included, is updated."""
@@ -223,6 +251,15 @@ class _Phase(NamedTuple):
 _SKIPPED = _Phase(0, 0, False, None)
 
 
+def _gain(reduced: np.ndarray, ids: np.ndarray, free: np.ndarray | None) -> np.ndarray:
+    """The price of each column (of ids) that may enter: its reduced cost,
+    or minus its |reduced cost| on a free column, which enters whichever way
+    improves; a column improves when its price is below -PIVOT_TOL."""
+    if free is None:
+        return reduced
+    return np.where(free[ids], -np.abs(reduced), reduced)
+
+
 def _run_simplex(
     T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, bland_threshold: int, budget: int,
     priced: int, free: np.ndarray | None,
@@ -242,38 +279,41 @@ def _run_simplex(
     rhs = T[:m, -1]
     pivots = degenerate = 0
     bland = False
-    while reduced.size:
-        gain = reduced
-        if free is not None:
-            gain = np.where(free[nonbasic[:priced]], -np.abs(reduced), reduced)
-        if bland:
-            candidates = (gain < -PIVOT_TOL).nonzero()[0]
-            if candidates.size == 0:
-                break
-            enter = int(candidates[nonbasic[candidates].argmin()])
-        else:
-            enter = int(gain.argmin())
-            if gain[enter] >= -PIVOT_TOL:
-                break
-        # the column signed by the direction in which the entering variable moves
-        col = T[:m, enter] if reduced[enter] < 0.0 else -T[:m, enter]
-        eligible = (col > PIVOT_TOL).nonzero()[0]
-        if free is not None:
-            eligible = eligible[~free[basis[eligible]]]
-        if eligible.size == 0:
-            return _Phase(pivots, degenerate, bland, enter)
-        ratios = rhs[eligible] / col[eligible]
-        best = ratios.min()
-        tied = eligible[ratios <= best + _DEGENERATE_RATIO * (1.0 + abs(best))]
-        leave = int(tied[basis[tied].argmin()])
-        if rhs[leave] / col[leave] < _DEGENERATE_RATIO:
-            degenerate += 1
-            if degenerate > bland_threshold:
-                bland = True
-        _pivot(T, basis, nonbasic, leave, enter)
-        pivots += 1
-        if pivots > budget:
-            raise IterationLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
+    # data far beyond the double range overflows the pivots; the ratio test
+    # below, or the checks on the answer read off T, raise NumericOverflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        while reduced.size:
+            gain = _gain(reduced, nonbasic[:priced], free)
+            if bland:
+                candidates = (gain < -PIVOT_TOL).nonzero()[0]
+                if candidates.size == 0:
+                    break
+                enter = int(candidates[nonbasic[candidates].argmin()])
+            else:
+                enter = int(gain.argmin())
+                if gain[enter] >= -PIVOT_TOL:
+                    break
+            # the column signed by the direction in which the entering variable moves
+            col = T[:m, enter] if reduced[enter] < 0.0 else -T[:m, enter]
+            eligible = (col > PIVOT_TOL).nonzero()[0]
+            if free is not None:
+                eligible = eligible[~free[basis[eligible]]]
+            if eligible.size == 0:
+                return _Phase(pivots, degenerate, bland, enter)
+            ratios = rhs[eligible] / col[eligible]
+            best = ratios.min()
+            if not math.isfinite(best):
+                raise NumericOverflow("the LP's pivots overflow; rescale the input")
+            tied = eligible[ratios <= best + _DEGENERATE_RATIO * (1.0 + abs(best))]
+            leave = int(tied[basis[tied].argmin()])
+            if rhs[leave] / col[leave] < _DEGENERATE_RATIO:
+                degenerate += 1
+                if degenerate > bland_threshold:
+                    bland = True
+            _pivot(T, basis, nonbasic, leave, enter)
+            pivots += 1
+            if pivots > budget:
+                raise IterationLimit(f"simplex exceeded {MAX_PIVOTS} pivots")
     return _Phase(pivots, degenerate, bland, None)
 
 
@@ -299,12 +339,20 @@ def _optimum(
     x = point[: objective.shape[0]] + 0.0  # + 0.0 turns -0.0 into 0.0
     if not np.isfinite(x).all():
         raise NumericOverflow("the LP's optimum overflows; rescale the input")
+    return (x, *_priced(lay, objective, x, T[m, :-1], nonbasic))
+
+
+def _priced(
+    lay: _Layout, objective: np.ndarray, x: np.ndarray, reduced: np.ndarray, nonbasic: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(objective @ x, duals) at an optimum x whose reduced-cost row, rhs
+    entry excluded, is reduced; see _optimum."""
     value = float(objective @ x)
     if not math.isfinite(value):
         raise NumericOverflow("the LP's optimal value overflows; rescale the input")
-    reduced = np.zeros(lay.ids)
-    reduced[nonbasic] = T[m, :-1]
-    return x, value, lay.dual_sign * reduced[lay.col_id]
+    by_id = np.zeros(lay.ids)
+    by_id[nonbasic] = reduced
+    return value, lay.dual_sign * by_id[lay.col_id]
 
 
 def solve(lp: LinearProgram, start: LpOutcome | None = None) -> LpOutcome:
@@ -312,8 +360,12 @@ def solve(lp: LinearProgram, start: LpOutcome | None = None) -> LpOutcome:
 
     start, an optimum that solve kept for a program with lp's rows (reprice
     passes one), skips phase 1: its final basis is feasible under any
-    objective, so phase 2 resumes from a copy of its tableau (start is left
-    as it was) with the reduced costs priced afresh.
+    objective, so phase 2 prices lp's objective afresh at it. When no
+    column improves, start's basis is optimal: the answer is a screened
+    optimum (start's x, a copy, the duals read off the fresh prices and
+    zero stats) at the cost of one pricing pass, with no tableau copy and
+    no tableau kept. Otherwise phase 2 pivots on a copy of start's tableau.
+    start is left as it was either way.
     """
     if start is not None:
         rows = ("A", "relations", "rhs", "domains")
@@ -322,8 +374,7 @@ def solve(lp: LinearProgram, start: LpOutcome | None = None) -> LpOutcome:
         ):
             raise ValueError("start must be an optimum kept by solve for a program with these rows")
         priced = int((start.nonbasic < lp._layout.art_start).sum())
-        T, basis, nonbasic = start.tableau.copy(), start.basis.copy(), start.nonbasic.copy()
-        return _phase2(lp, T, basis, nonbasic, priced, _SKIPPED, 0)
+        return _phase2(lp, start.tableau, start.basis, start.nonbasic, priced, _SKIPPED, 0, start)
     m, n = lp.num_rows, lp.num_cols
     lay = lp._layout
     free = lay.free if lay.free.any() else None
@@ -387,31 +438,46 @@ def reprice(base: LpOutcome, objective) -> LpOutcome:
     """Re-optimize base's program under another objective: solve, started
     from base, an optimum from solve or reprice.
 
-    Phase 2 runs the same pivot loop as solve's from a copy of base's
-    tableau. The outcome is OPTIMAL or UNBOUNDED; its stats count phase 2
-    pivots only (no phase 1, no rows dropped), and an optimum keeps the
-    program with the new objective and its tableau, for the next reprice
-    or add_row.
+    The outcome is OPTIMAL or UNBOUNDED; its stats count phase 2 pivots
+    only (no phase 1, no rows dropped). When base's basis stays optimal the
+    optimum is screened, base's x at the cost of one pricing pass, and
+    keeps no tableau. Otherwise phase 2 runs the same pivot loop as solve's
+    from a copy of base's tableau, and an optimum keeps the program with
+    the new objective and its tableau, for the next reprice or add_row.
     """
     return solve(base.program.with_objective(objective), start=base)
 
 
 def _phase2(
     lp: LinearProgram, T: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, priced: int,
-    phase1: _Phase, dropped_rows: int,
+    phase1: _Phase, dropped_rows: int, start: LpOutcome | None = None,
 ) -> LpOutcome:
-    """Phase 2 from a feasible basis: price lp's objective into T's
-    reduced-cost row, pivot, and read the optimum or the improving ray."""
+    """Phase 2 from a feasible basis: price lp's objective into a fresh
+    reduced-cost row, pivot, and read the optimum or the improving ray.
+
+    T, basis and nonbasic are pivoted in place, unless they are start's:
+    then an optimum that needs no pivot is answered screened (see solve),
+    and any other pivots on copies.
+    """
     lay = lp._layout
     m, n = basis.shape[0], lp.num_cols
     ids = lay.ids
     cost = np.zeros(ids)
     cost[:n] = lp.objective
-    T[m] = cost[basis] @ T[:m]
-    T[m, :-1] -= cost[nonbasic]
+    reduced = cost[basis] @ T[:m]
+    reduced[:-1] -= cost[nonbasic]
+    free = lay.free if lay.free.any() else None
+    if start is not None:
+        gain = _gain(reduced[:priced], nonbasic[:priced], free)
+        # the test on which _run_simplex stops before its first pivot
+        if gain.size == 0 or gain.min() >= -PIVOT_TOL:
+            x = start.x.copy()
+            value, duals = _priced(lay, lp.objective, x, reduced[:-1], nonbasic)
+            return LpOutcome(LpStatus.OPTIMAL, x=x, objective=value, duals=duals, program=lp)
+        T, basis, nonbasic = T.copy(), basis.copy(), nonbasic.copy()
+    T[m] = reduced
     bland_threshold = 3 * (lp.num_rows + n)
     budget = MAX_PIVOTS - phase1.pivots
-    free = lay.free if lay.free.any() else None
     phase2 = _run_simplex(T, basis, nonbasic, bland_threshold, budget, priced, free)
     stats = _stats(phase1, phase2, dropped_rows)
     if phase2.unbounded is None:
@@ -427,6 +493,8 @@ def _phase2(
     ray = np.zeros(ids)
     ray[nonbasic[phase2.unbounded]] = step
     ray[basis] = -step * T[:m, phase2.unbounded]
+    if not (np.isfinite(point).all() and np.isfinite(ray).all()):
+        raise NumericOverflow("the LP's pivots overflow; rescale the input")
     return LpOutcome(LpStatus.UNBOUNDED, x=point[:n] + 0.0, ray=ray[:n] + 0.0, stats=stats)
 
 
@@ -499,16 +567,25 @@ def read_dual(
 
 def certifies(program: LinearProgram, x: np.ndarray, y: np.ndarray, equal: np.ndarray) -> bool:
     """Whether x and the row duals y certify an optimum of program, whose
-    = rows equal masks: x meets every row to FEASIBILITY_TOL times its
-    row_scale, and the duality gap |objective @ x - rhs @ y| is within
-    FEASIBILITY_TOL times the larger of |objective| @ |x| and |rhs| @ |y|.
+    = rows equal masks: x is feasible and the duality gap closes (see both).
     The gap catches a misscaled x that feasibility alone would pass, as on
     a cone, whose rows still hold when x grows.
     """
+    return feasible(program, x, equal) and gap_closes(program, x, y)
+
+
+def feasible(program: LinearProgram, x: np.ndarray, equal: np.ndarray) -> bool:
+    """Whether x meets every row of program, whose = rows equal masks, to
+    FEASIBILITY_TOL times its row_scale."""
     slack = program.rhs - program.A @ x
     allowed = FEASIBILITY_TOL * row_scale(program.A, program.rhs, x)
-    if (slack < -allowed).any() or (slack[equal] > allowed[equal]).any():
-        return False
+    return not ((slack < -allowed).any() or (slack[equal] > allowed[equal]).any())
+
+
+def gap_closes(program: LinearProgram, x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the duality gap |objective @ x - rhs @ y| of x and the row
+    duals y is within FEASIBILITY_TOL times the larger of |objective| @ |x|
+    and |rhs| @ |y|."""
     gap = abs(float(program.objective @ x) - float(program.rhs @ y))
     size = max(float(np.abs(program.objective) @ np.abs(x)), float(np.abs(program.rhs) @ np.abs(y)))
     return gap <= FEASIBILITY_TOL * size

@@ -198,22 +198,31 @@ class NormalizedPolyhedron:
         """The body as apex + lam * K1 for every lam > 0, built on first use;
         None when no point makes every row tight.
 
-        The apex v solves [normals; A] v = [offsets; b] by least squares and
-        stands only when every residual is within lp.FEASIBILITY_TOL times its
+        The apex v solves [normals; A] v = [offsets; b], by LU when the
+        system is square and LU finds it regular, else by least squares
+        (lstsq), and stands only
+        when every residual is within lp.FEASIBILITY_TOL times its
         lp.row_scale, or within roundoff (lp._ROUNDOFF times |row|_1 |v|_inf),
         which rows whose rhs and terms all vanish at v need. None too when
-        the slice program has no optimum. K1 = { z in the hull's
-        direction space : normals @ z <= -1 } is the unit-depth slice seen
-        from the apex. The slice program's objective, normals.sum(axis=0),
-        pushes every row toward tightness. A tall body (more rows, hull rows
-        included, than columns) keeps the slice program's LP dual; any other
-        keeps its optimal vertex, which has every free column basic when the
-        rows allow it.
+        the slice program has no optimum, or when its optimal vertex does not
+        meet its rows (lp.feasible); every cut re-prices that vertex, and a
+        re-price that does not pivot keeps its x, so the check is made once
+        here. K1 = { z in the hull's direction space : normals @ z <= -1 } is
+        the unit-depth slice seen from the apex. The slice program's
+        objective, normals.sum(axis=0), pushes every row toward tightness. A
+        tall body (more rows, hull rows included, than columns) keeps the
+        slice program's LP dual; any other keeps its optimal vertex, which has
+        every free column basic when the rows allow it.
         """
         n = self.dim
         A = np.vstack([self.normals, self.space.A])
         rhs = np.concatenate([self.offsets, self.space.b])
-        apex = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        try:
+            apex = np.linalg.solve(A, rhs) if A.shape[0] == n else None
+        except np.linalg.LinAlgError:
+            apex = None
+        if apex is None or not np.isfinite(apex).all():
+            apex = np.linalg.lstsq(A, rhs, rcond=None)[0]
         allowed = np.maximum(
             lp.FEASIBILITY_TOL * lp.row_scale(A, rhs, apex),
             lp._ROUNDOFF * np.abs(A).sum(axis=1) * np.abs(apex).max(initial=0.0),
@@ -229,7 +238,9 @@ class NormalizedPolyhedron:
         if rhs.shape[0] > n:
             return UnitSlice(frozen(apex), program, lp.dual(program), None)
         vertex = lp.solve(program)
-        if vertex.status != lp.LpStatus.OPTIMAL:
+        # the slice program's = rows are the hull rows, after the body's
+        equal = np.arange(rhs.shape[0]) >= self.num_rows
+        if vertex.status != lp.LpStatus.OPTIMAL or not lp.feasible(program, vertex.x, equal):
             return None
         return UnitSlice(frozen(apex), program, None, vertex)
 
@@ -240,8 +251,8 @@ class UnitSlice(NamedTuple):
     max objective @ z s.t. normals @ z <= -1, A z = 0, z free, and a cut
     swaps the objective for -coeffs. A tall body keeps dual, the pair
     lp.dual(program), so that a cut swaps only the dual's rhs; any other
-    keeps vertex, program's optimum from lp.solve, which a cut re-prices
-    (lp.reprice)."""
+    keeps vertex, program's optimum from lp.solve, checked feasible, which a
+    cut re-prices (lp.reprice)."""
 
     apex: np.ndarray
     program: lp.LinearProgram

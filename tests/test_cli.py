@@ -626,3 +626,20 @@ def test_answers_beyond_the_double_range_exit_2(argv, instance, tmp_path, capsys
     assert main([*argv, "--in", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# a corner whose cut has a coefficient of 1e308: the closed form gives a
+# finite depth of about 2.07e-308, while the LP's answer is not pinned, as
+# the roundoff in its cached vertex, times 1e308, can pass for a descent ray
+HUGE_COEFFICIENT_CORNER = {
+    "polyhedron": {"f": [0.37, 1.5], "R": [[5, 1, -3], [2, -7, 1]]},
+    "cuts": [{"alpha": [1e308, 1, 1], "beta": 1}],
+}
+
+
+@pytest.mark.parametrize("method, codes", [("lp", {0, 2}), ("both", {1, 2})])
+def test_a_huge_cut_coefficient_ends_without_a_traceback(method, codes, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(HUGE_COEFFICIENT_CORNER))
+    assert main(["depth", "--in", str(path), "--method", method]) in codes
+    assert "Traceback" not in capsys.readouterr().err

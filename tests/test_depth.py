@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cutdepth import lp
 from cutdepth.cli.suites import random_corner
 from cutdepth.constructions import depth_lower_bound_cone
-from cutdepth.corner import CornerData, build_corner, standard_form_model
+from cutdepth.corner import CornerData, build_corner, corner_cut_depth, standard_form_model
 from cutdepth.depth import (
     DepthKind,
     _depth_result,
@@ -857,10 +858,20 @@ def _scaled_cone(cone, cuts, t):
     return normalize(scaled), [Cut(cut.coeffs, t * cut.rhs) for cut in cuts]
 
 
+def _assert_descent_ray(body, cut, ray):
+    """ray is a recession direction of the body on which the cut decreases:
+    normals @ ray <= 0, A @ ray = 0 and coeffs @ ray < 0, each to roundoff
+    times the size of its terms, |row|_1 |ray|_inf."""
+    size = 1e-12 * np.abs(ray).max()
+    assert (body.normals @ ray <= size * np.abs(body.normals).sum(axis=1)).all()
+    assert (np.abs(body.space.A @ ray) <= size * np.abs(body.space.A).sum(axis=1)).all()
+    assert cut.coeffs @ ray < -size * np.abs(cut.coeffs).sum()
+
+
 class TestSquareSlice:
     """A body without a cached optimum that is not tall (no more rows, hull
     rows included, than columns) re-prices one cached vertex of its unit-depth
-    slice per cut (lp.reprice); an unbounded cut solves the depth program."""
+    slice per cut (lp.reprice); an unbounded cut takes the re-price's ray."""
 
     def test_square_cones_at_every_scale(self):
         kinds = set()
@@ -873,11 +884,11 @@ class TestSquareSlice:
                     reference = _primal(body, cut)
                     assert result.kind == reference.kind, (t, cut)
                     assert not result.stats.dualized
+                    assert result.stats.phase1_pivots == 0
                     kinds.add(result.kind)
                     if result.kind == DepthKind.UNBOUNDED:
-                        assert result.ray.tobytes() == reference.ray.tobytes()
+                        _assert_descent_ray(body, cut, result.ray)
                         continue
-                    assert result.stats.phase1_pivots == 0
                     if result.is_finite:
                         expected = pytest.approx(reference.value, rel=1e-9, abs=1e-12 * t)
                         assert result.value == expected
@@ -902,8 +913,10 @@ class TestSquareSlice:
         assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
 
     def test_unbounded_slice_solves_only_the_depth_program(self, monkeypatch):
-        # the slice proves the depth unbounded, so only the ray is left to
-        # find: no solve of the depth program's dual
+        # the slice proves the depth unbounded. A tall body's dual gives no
+        # ray, so it solves the depth program as written for one, and not
+        # the depth program's dual; a square body's re-price gives its ray
+        # and solves nothing from scratch
         for body in (normalize(depth_lower_bound_cone(7, 1e-4).polyhedron),
                      normalize(_square_cone(np.random.default_rng(3), 4)[0])):
             deep = Cut(np.eye(body.dim)[0], 0.0)
@@ -913,10 +926,104 @@ class TestSquareSlice:
             monkeypatch.undo()
             reference = _primal(body, deep)
             assert result.kind == reference.kind == DepthKind.UNBOUNDED
+            if body.unit_slice.vertex is not None:
+                assert programs == []
+                _assert_descent_ray(body, deep, result.ray)
+                continue
             assert result.ray.tobytes() == reference.ray.tobytes()
-            rows = [program.num_rows for program in programs[:-1]]
-            assert rows == ([body.dim] if body.unit_slice.vertex is None else [])
+            assert [program.num_rows for program in programs[:-1]] == [body.dim]
             assert programs[-1].A.tobytes() == body.depth_program(deep).A.tobytes()
+
+    def test_random_corners_against_the_closed_form(self, monkeypatch):
+        # suites.random_corner's corners at scales 1e-8..1e8, as the lp-small
+        # benchmark scores them: every cut re-prices the slice vertex without
+        # a pivot, and none solves a program from scratch
+        kinds = set()
+        for seed in (5, 6):
+            rng = np.random.default_rng(seed)
+            for index in range(40):
+                corner = random_corner(rng, index)
+                cone = build_corner(corner.data)
+                t = 10.0 ** (4 * ((index + index // 5) % 5) - 8)
+                m = corner.data.num_basic
+                body = _scaled(standard_form_model(corner.data), t).body
+                assert body.chebyshev.status == lp.LpStatus.UNBOUNDED
+                assert body.unit_slice.vertex is not None
+                programs = _recorded_solves(monkeypatch)
+                for cut, _ in corner.cuts:
+                    closed = corner_cut_depth(cone, cut)
+                    lifted = Cut(np.concatenate([np.zeros(m), cut.coeffs]), t * cut.rhs)
+                    result = cut_depth(body, lifted)
+                    assert result.kind == closed.kind, (seed, index, t)
+                    assert result.stats == lp.SolveStats()
+                    kinds.add(result.kind)
+                    if closed.is_finite:
+                        assert result.value == pytest.approx(t * closed.value, rel=1e-9)
+                    elif closed.kind == DepthKind.UNBOUNDED:
+                        _assert_descent_ray(body, lifted, result.ray)
+                monkeypatch.undo()
+                assert programs == []
+        assert kinds == {DepthKind.FINITE, DepthKind.NOT_VIOLATED, DepthKind.UNBOUNDED}
+
+    def test_feasibility_is_checked_once_unless_a_pivot_moves_z(self, monkeypatch):
+        cone, cuts = _square_cone(np.random.default_rng(5), 4)
+        body = normalize(cone)
+        finite = cuts[0]
+        reference = _primal(body, finite)
+        assert reference.kind == DepthKind.FINITE
+        assert body.unit_slice.vertex is not None
+        checks = []
+        honest = lp.feasible
+
+        def recorded(program, x, equal):
+            checks.append(x)
+            return honest(program, x, equal)
+
+        monkeypatch.setattr(lp, "feasible", recorded)
+        assert cut_depth(body, finite).stats == lp.SolveStats()
+        assert checks == []
+        # a re-price that pivoted is checked again, and falls back when it fails
+        reprice = lp.reprice
+
+        def pivoted(base, objective):
+            return replace(reprice(base, objective), stats=lp.SolveStats(phase2_pivots=1))
+
+        monkeypatch.setattr(lp, "reprice", pivoted)
+        monkeypatch.setattr(lp, "feasible", lambda program, x, equal: checks.append(x) or False)
+        result = cut_depth(body, finite)
+        assert len(checks) == 1
+        assert result.value == reference.value
+        assert result.stats == reference.stats
+
+    def test_a_vertex_that_misses_its_rows_keeps_no_slice(self, monkeypatch):
+        cone, cuts = _square_cone(np.random.default_rng(5), 4)
+        body = normalize(cone)
+        monkeypatch.setattr(lp, "feasible", lambda program, x, equal: False)
+        assert body.unit_slice is None
+        monkeypatch.undo()
+        for cut in cuts:
+            result, reference = cut_depth(body, cut), _primal(body, cut)
+            assert result.kind == reference.kind
+            assert result.value == reference.value
+            assert result.stats == reference.stats
+
+    def test_a_ray_that_fails_its_check_takes_the_cold_path(self, monkeypatch):
+        body = normalize(_square_cone(np.random.default_rng(3), 4)[0])
+        deep = Cut(np.eye(body.dim)[0], 0.0)
+        assert body.unit_slice.vertex is not None
+        reprice = lp.reprice
+
+        def flipped(base, objective):
+            outcome = reprice(base, objective)
+            return replace(outcome, ray=-outcome.ray)
+
+        monkeypatch.setattr(lp, "reprice", flipped)
+        result = cut_depth(body, deep)
+        monkeypatch.undo()
+        reference = _primal(body, deep)
+        assert result.kind == reference.kind == DepthKind.UNBOUNDED
+        assert result.ray.tobytes() == reference.ray.tobytes()
+        assert result.stats == reference.stats
 
     def test_apex_residuals_get_a_roundoff_floor(self):
         # rows 3 and 4 of this corner's [normals; A] have a zero rhs and zero
@@ -1122,10 +1229,10 @@ class TestOrderInvariance:
                 for perm in perms:
                     renamed = Cut(cut.coeffs[perm], cut.rhs)
                     _same_depth(cut_depth_standard_form(_permuted(model, perm), renamed), reference)
-        # the corners' finite and not-violated cuts re-price a cached vertex
-        # of their unit-depth slice without a pivot; unbounded ones solve
+        # the corners' cuts of every kind re-price a cached vertex of their
+        # unit-depth slice without a pivot; an unbounded one takes its ray
         assert kinds == {
-            (DepthKind.FINITE, True), (DepthKind.NOT_VIOLATED, True), (DepthKind.UNBOUNDED, False),
+            (DepthKind.FINITE, True), (DepthKind.NOT_VIOLATED, True), (DepthKind.UNBOUNDED, True),
         }
 
 

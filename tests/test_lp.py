@@ -455,17 +455,30 @@ class TestAddRow:
         assert_outcome_invariants(self._extended(prog, [1.0, 1.0], 0.5), out)
 
 
+def _pivot_loop(base, program):
+    """program re-optimized from base as phase 2 on copies of base's
+    tableau, basis and nonbasic ids, the pivot loop run even when no column
+    improves: the route that a screened optimum skips."""
+    priced = int((base.nonbasic < program._layout.art_start).sum())
+    T, basis, nonbasic = base.tableau.copy(), base.basis.copy(), base.nonbasic.copy()
+    return lp._phase2(program, T, basis, nonbasic, priced, lp._SKIPPED, 0)
+
+
 class TestReprice:
     """reprice re-optimizes an optimum under another objective from its
-    tableau; the result matches solve on the program with that objective."""
+    tableau; the result matches solve on the program with that objective.
+    When no column improves at base's basis the optimum is screened: base's
+    x, the duals of the fresh prices, zero stats and no tableau."""
 
     def _agrees(self, base, objective):
         """reprice(base, objective) against a cold solve; returns it."""
         program = replace(base.program, objective=np.asarray(objective, dtype=float))
         before = base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes()
+        x_before = base.x.tobytes()
         out = lp.reprice(base, objective)
         cold = checked_solve(program)
         assert before == (base.tableau.tobytes(), base.basis.tobytes(), base.nonbasic.tobytes())
+        assert base.x.tobytes() == x_before
         assert out.status == cold.status
         assert out.stats.phase1_pivots == out.stats.dual_pivots == 0
         assert_outcome_invariants(program, out)
@@ -474,11 +487,26 @@ class TestReprice:
             assert out.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9 * size)
             assert_duals_certify(program, out)
             assert out.program.objective.tobytes() == program.objective.tobytes()
+            # a pivot keeps the tableau it made; no pivot keeps none
+            assert (out.tableau is None) == (out.stats.phase2_pivots == 0)
+            if out.tableau is None:
+                self._screened(base, program, out)
         return out
+
+    def _screened(self, base, program, out):
+        """A screened optimum is what the pivot loop would have answered."""
+        loop = _pivot_loop(base, program)
+        assert loop.stats.phase2_pivots == 0
+        assert out.x.tobytes() == loop.x.tobytes() == base.x.tobytes()
+        assert out.x is not base.x
+        assert out.duals.tobytes() == loop.duals.tobytes()
+        assert out.objective == loop.objective
+        assert out.stats == lp.SolveStats()
+        assert out.basis is None and out.nonbasic is None
 
     def test_matches_solve_under_the_new_objective(self):
         rng = np.random.default_rng(23)
-        checked = pivoted = 0
+        checked = pivoted = screened = 0
         while checked < 80:
             # <=, >= and = rows over nonnegative columns, then free columns too
             prog = random_bounded_instance(rng) if checked % 2 else _boxed_program(rng)
@@ -487,11 +515,31 @@ class TestReprice:
                 continue
             out = self._agrees(base, rng.standard_normal(prog.num_cols))
             pivoted += out.stats.phase2_pivots > 0
-            # an optimum from reprice is itself a warm start
-            back = self._agrees(out, prog.objective)
-            assert back.objective == pytest.approx(base.objective, rel=1e-9, abs=1e-9)
+            # base's own objective needs no pivot
+            again = self._agrees(base, prog.objective)
+            assert again.tableau is None
+            screened += out.tableau is None
+            # an optimum from a pivoting reprice is itself a warm start
+            if out.tableau is not None:
+                back = self._agrees(out, prog.objective)
+                assert back.objective == pytest.approx(base.objective, rel=1e-9, abs=1e-9)
             checked += 1
         assert pivoted > 40
+        assert screened > 0
+
+    def test_a_screened_optimum_starts_nothing(self):
+        prog = make_lp([1.0, 1.0], np.eye(2), [LESS_EQUAL] * 2, [1.0, 2.0], [NONNEGATIVE] * 2)
+        base = lp.solve(prog)
+        screened = lp.reprice(base, [2.0, 1.0])
+        assert screened.status == LpStatus.OPTIMAL and screened.tableau is None
+        assert screened.objective == 4.0
+        with pytest.raises(ValueError):
+            lp.reprice(screened, [1.0, 1.0])
+        # one that pivots chains: its own tableau is the next start
+        pivoted = lp.reprice(base, [-1.0, 1.0])
+        assert pivoted.stats.phase2_pivots > 0 and pivoted.tableau is not None
+        chained = self._agrees(pivoted, [1.0, -1.0])
+        assert chained.objective == 1.0
 
     def test_a_dropped_row_keeps_a_zero_dual(self):
         prog = make_lp(
@@ -613,6 +661,29 @@ class TestDual:
         assert dual.relations == (EQUAL, GREATER_EQUAL)
         assert dual.domains == (NONNEGATIVE, FREE, NONNEGATIVE)
         assert lp.dual(make_lp([1.0], [[1.0]], [LESS_EQUAL], [0.0], [FREE]))[1] == 1.0
+
+    def test_with_rhs_matches_a_program_built_afresh(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            prog = _boxed_program(rng)
+            prog._layout
+            rhs = rng.standard_normal(prog.num_rows)  # flips some rows' signs
+            swapped = prog.with_rhs(rhs)
+            fresh = replace(prog, rhs=rhs)
+            assert swapped.A is prog.A and swapped.objective is prog.objective
+            assert swapped.relations is prog.relations and swapped.domains is prog.domains
+            assert swapped.rhs.tobytes() == rhs.tobytes()
+            for name, part in swapped._layout._asdict().items():
+                assert np.array_equal(part, getattr(fresh._layout, name)), name
+            assert prog._layout.row_sign.tobytes() == np.where(prog.rhs < 0.0, -1.0, 1.0).tobytes()
+            same = checked_solve(fresh)
+            out = lp.solve(swapped)
+            assert out.status == same.status
+            if same.status == LpStatus.OPTIMAL:
+                assert out.x.tobytes() == same.x.tobytes()
+        for rhs in ([1.0], [1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                make_lp([1.0], [[1.0], [2.0]], [LESS_EQUAL] * 2, [1.0, 2.0], [FREE]).with_rhs(rhs)
 
     def test_rejects_greater_equal_rows(self):
         prog = make_lp([1.0], [[1.0], [1.0]], [LESS_EQUAL, GREATER_EQUAL], [1.0, 0.0], [FREE])
