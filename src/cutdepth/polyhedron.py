@@ -199,11 +199,11 @@ class NormalizedPolyhedron:
         None when no point makes every row tight.
 
         The apex v solves [normals; A] v = [offsets; b], by LU when the
-        system is square and LU finds it regular, else by least squares
-        (lstsq), and stands only
-        when every residual is within lp.FEASIBILITY_TOL times its
-        lp.row_scale, or within roundoff (lp._ROUNDOFF times |row|_1 |v|_inf),
-        which rows whose rhs and terms all vanish at v need. None too when
+        system is square and LU finds it regular, else by least squares, and
+        stands only when every residual is within lp.FEASIBILITY_TOL times
+        its lp.row_scale, or within roundoff (lp._ROUNDOFF times
+        |row|_1 |v|_inf), which rows whose rhs and terms all vanish at v
+        need. None too when
         the slice program has no optimum, or when its optimal vertex does not
         meet its rows (lp.feasible); every cut re-prices that vertex, and a
         re-price that does not pivot keeps its x, so the check is made once
